@@ -1,0 +1,152 @@
+"""Frame-level spectral and energy features: spectrograms, RMS, sections."""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import numpy as np
+from scipy import signal
+
+from .audio_io import AudioBuffer
+
+SECTION_LABELS = ("intro", "verse", "chorus", "bridge", "outro")
+
+DB_FLOOR = -100.0
+DB_EPS = 1e-10
+
+
+@dataclass(frozen=True)
+class Spectrogram:
+    """Magnitude STFT: frames x bins, with the framing parameters kept."""
+
+    magnitudes: np.ndarray
+    frame_length: int
+    hop: int
+    sample_rate: int
+    window: str = "hann"
+
+    @property
+    def frame_times(self) -> np.ndarray:
+        return np.arange(self.magnitudes.shape[0]) * self.hop / self.sample_rate
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.fft.rfftfreq(self.frame_length, 1 / self.sample_rate)
+
+    def to_db(self) -> np.ndarray:
+        return np.maximum(20 * np.log10(self.magnitudes + DB_EPS), DB_FLOOR)
+
+
+@dataclass(frozen=True)
+class RmsSeries:
+    values: np.ndarray
+    frame_times: np.ndarray
+
+
+@dataclass(frozen=True)
+class SectionMap:
+    """Ordered (label, start_sec, end_sec) entries from a sidecar file."""
+
+    entries: tuple
+
+    def __post_init__(self):
+        for label, start, end in self.entries:
+            if label not in SECTION_LABELS:
+                raise ValueError(f"unknown section label: {label}")
+            if start >= end:
+                raise ValueError(f"section {label}: start {start} >= end {end}")
+
+
+def _frames(x: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
+    n = 1 + (len(x) - frame_length) // hop
+    if n < 1:
+        raise ValueError("buffer shorter than one frame")
+    idx = np.arange(frame_length)[None, :] + hop * np.arange(n)[:, None]
+    return x[idx]
+
+
+def stft(
+    buf: AudioBuffer,
+    frame_length: int = 2048,
+    hop: int = 512,
+    window: str = "hann",
+) -> Spectrogram:
+    """Magnitude spectrogram of the buffer, frames x (frame_length//2 + 1) bins."""
+    if hop > frame_length:
+        raise ValueError("hop must not exceed frame_length")
+    frames = _frames(buf.samples, frame_length, hop)
+    if window == "rectangular":
+        win = np.ones(frame_length)
+    else:
+        win = signal.get_window(window, frame_length)
+    mags = np.abs(np.fft.rfft(frames * win, axis=1))
+    return Spectrogram(mags, frame_length, hop, buf.sample_rate, window)
+
+
+def frame_rms(buf: AudioBuffer, frame_length: int = 2048, hop: int = 512) -> RmsSeries:
+    """Per-frame root-mean-square amplitude."""
+    if frame_length < 1:
+        raise ValueError("frame_length must be >= 1")
+    if len(buf.samples) == 0:
+        raise ValueError("empty buffer")
+    frames = _frames(buf.samples, min(frame_length, len(buf.samples)), hop)
+    values = np.sqrt((frames**2).mean(axis=1))
+    times = np.arange(len(values)) * hop / buf.sample_rate
+    return RmsSeries(values, times)
+
+
+def rms_stats(series: RmsSeries) -> dict:
+    """Mean / max / min of an RMS envelope."""
+    if len(series.values) == 0:
+        raise ValueError("empty RMS series")
+    v = series.values
+    return {"avg": float(v.mean()), "max": float(v.max()), "min": float(v.min())}
+
+
+def slice_sections(buf: AudioBuffer, section_map: SectionMap) -> list:
+    """Cut the buffer into labeled (label, AudioBuffer) pieces, in map order.
+
+    Entries extending past the end of the buffer are clipped with a warning.
+    """
+    if not section_map.entries:
+        raise ValueError("empty section map")
+    out = []
+    duration = buf.duration
+    for label, start, end in section_map.entries:
+        if end > duration:
+            warnings.warn(
+                f"section {label} ({start:.2f}-{end:.2f}s) extends past "
+                f"buffer end ({duration:.2f}s); clipping"
+            )
+            end = duration
+        i0 = int(round(start * buf.sample_rate))
+        i1 = int(round(end * buf.sample_rate))
+        piece = replace(buf, samples=buf.samples[i0:i1].copy())
+        out.append((label, piece))
+    return out
+
+
+def _parse_timestamp(text: str) -> float:
+    parts = text.strip().split(":")
+    if len(parts) == 2:
+        return int(parts[0]) * 60 + float(parts[1])
+    if len(parts) == 1:
+        return float(parts[0])
+    raise ValueError(f"bad timestamp: {text!r}")
+
+
+def load_section_map(path) -> SectionMap:
+    """Parse a sidecar file with lines `label<TAB>mm:ss<TAB>mm:ss`."""
+    entries = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"bad section line: {line!r}")
+        label = fields[0].strip().lower()
+        entries.append((label, _parse_timestamp(fields[1]), _parse_timestamp(fields[2])))
+    return SectionMap(tuple(entries))

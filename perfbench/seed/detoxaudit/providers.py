@@ -1,0 +1,318 @@
+"""Clients for the external inference services, plus deterministic offline stubs.
+
+Three services are wrapped: sentiment classification, text embedding, and
+LLM lyric rewriting. All speak the same minimal protocol: POST
+``{"input": <text>}``; responses are ``{"label", "score"}``,
+``{"vector": [...]}`` and ``{"text": "..."}`` respectively. Each client
+retries transient failures with exponential backoff and caches responses
+keyed by (provider, model, input hash).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import threading
+import time
+import warnings
+from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import requests
+
+ENV_SENTIMENT_URL = "DETOX_SENTIMENT_URL"
+ENV_EMBED_URL = "DETOX_EMBED_URL"
+ENV_REWRITE_URL = "DETOX_REWRITE_URL"
+ENV_API_TOKEN = "DETOX_API_TOKEN"
+
+DEFAULT_REWRITE_TEMPLATE = (
+    "Rewrite the lyrics so that it is not abusive and make sure it has "
+    "the same length and flow: [lyrics]"
+)
+
+
+class ProviderError(RuntimeError):
+    """Raised when a provider call fails after exhausting retries."""
+
+
+@dataclass(frozen=True)
+class ProviderConfig:
+    endpoint: str = ""
+    auth_token: str = ""
+    timeout: float = 30.0
+    max_retries: int = 3
+    backoff_base: float = 1.0
+    cache_dir: str | None = None
+    model: str = "default"
+
+    def __post_init__(self):
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+
+
+@dataclass(frozen=True)
+class RewriteRequest:
+    lyrics: str
+    prompt_template: str = DEFAULT_REWRITE_TEMPLATE
+
+    def __post_init__(self):
+        if self.prompt_template.count("[lyrics]") != 1:
+            raise ValueError("prompt template must contain [lyrics] exactly once")
+
+    def prompt(self) -> str:
+        return self.prompt_template.replace("[lyrics]", self.lyrics)
+
+
+def _cache_key(provider: str, model: str, text: str) -> str:
+    digest = hashlib.sha256(f"{provider}|{model}|{text}".encode("utf-8")).hexdigest()
+    return digest
+
+
+class _HttpProvider:
+    """Shared retry / backoff / cache machinery for the HTTP clients."""
+
+    name = "provider"
+
+    def __init__(self, cfg: ProviderConfig):
+        self.cfg = cfg
+        self.last_retries = 0
+        self._mem_cache = {}
+        self._lock = threading.Lock()
+
+    def _cache_path(self, key: str) -> Path | None:
+        if not self.cfg.cache_dir:
+            return None
+        d = Path(self.cfg.cache_dir)
+        d.mkdir(parents=True, exist_ok=True)
+        return d / f"{key}.json"
+
+    def _cached(self, key: str):
+        with self._lock:
+            if key in self._mem_cache:
+                return self._mem_cache[key]
+        path = self._cache_path(key)
+        if path is not None and path.exists():
+            payload = json.loads(path.read_text("utf-8"))
+            with self._lock:
+                self._mem_cache[key] = payload
+            return payload
+        return None
+
+    def _store(self, key: str, payload):
+        with self._lock:
+            self._mem_cache[key] = payload
+        path = self._cache_path(key)
+        if path is not None:
+            tmp = path.with_suffix(".tmp")
+            tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+            tmp.replace(path)
+
+    def _request(self, text: str) -> dict:
+        """POST with retries; returns the parsed JSON response."""
+        if not text:
+            raise ValueError("empty text")
+        key = _cache_key(self.name, self.cfg.model, text)
+        cached = self._cached(key)
+        if cached is not None:
+            return cached
+        headers = {}
+        if self.cfg.auth_token:
+            headers["Authorization"] = f"Bearer {self.cfg.auth_token}"
+        last_error = None
+        self.last_retries = 0
+        for attempt in range(self.cfg.max_retries + 1):
+            if attempt > 0:
+                time.sleep(self.cfg.backoff_base * 2 ** (attempt - 1))
+                self.last_retries = attempt
+            try:
+                resp = requests.post(
+                    self.cfg.endpoint,
+                    json={"input": text},
+                    headers=headers,
+                    timeout=self.cfg.timeout,
+                )
+                if resp.status_code >= 500 or resp.status_code == 429:
+                    last_error = ProviderError(
+                        f"{self.name}: HTTP {resp.status_code} from {self.cfg.endpoint}"
+                    )
+                    continue
+                resp.raise_for_status()
+                payload = resp.json()
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last_error = exc
+                continue
+            except (requests.RequestException, ValueError) as exc:
+                raise ProviderError(f"{self.name}: bad response: {exc}") from exc
+            self._store(key, payload)
+            return payload
+        raise ProviderError(
+            f"{self.name}: giving up after {self.cfg.max_retries + 1} attempts: {last_error}"
+        )
+
+
+class SentimentClient(_HttpProvider):
+    name = "sentiment"
+
+    def classify(self, text: str) -> tuple:
+        payload = self._request(text)
+        try:
+            label = payload["label"]
+            score = float(payload["score"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProviderError(f"sentiment: malformed response {payload!r}") from exc
+        if label not in ("POSITIVE", "NEGATIVE") or not 0 <= score <= 1:
+            raise ProviderError(f"sentiment: out-of-contract response {payload!r}")
+        return label, score
+
+
+class EmbeddingClient(_HttpProvider):
+    name = "embedding"
+
+    def __init__(self, cfg: ProviderConfig, unit_normalize: bool = True):
+        super().__init__(cfg)
+        self.unit_normalize = unit_normalize
+
+    def embed(self, text: str) -> np.ndarray:
+        payload = self._request(text)
+        try:
+            vec = np.asarray(payload["vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProviderError(f"embedding: malformed response {payload!r}") from exc
+        if self.unit_normalize:
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                vec = vec / norm
+        return vec
+
+
+class RewriteClient(_HttpProvider):
+    name = "rewrite"
+
+    def rewrite(self, req: RewriteRequest) -> str:
+        payload = self._request(req.prompt())
+        text = payload.get("text") if isinstance(payload, dict) else None
+        if not text:
+            raise ProviderError(f"rewrite: empty or refused response {payload!r}")
+        _check_length_contract(req.lyrics, text)
+        return text
+
+
+def _check_length_contract(original: str, rewritten: str, tolerance: float = 0.2):
+    n_in = len([l for l in original.splitlines() if l.strip()])
+    n_out = len([l for l in rewritten.splitlines() if l.strip()])
+    if n_in and abs(n_out - n_in) / n_in > tolerance:
+        warnings.warn(
+            f"rewrite changed line count from {n_in} to {n_out} "
+            f"(> {tolerance:.0%}); length-and-flow contract likely broken"
+        )
+
+
+def _load_lexicon() -> dict:
+    text = resources.files("detoxaudit.data").joinpath("profanity_lexicon.txt").read_text("utf-8")
+    lexicon = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        word, _, replacement = line.partition("\t")
+        lexicon[word.lower()] = replacement or "friend"
+    return lexicon
+
+
+class StubSentimentClassifier:
+    """Offline deterministic classifier backed by the bundled lexicon.
+
+    Any lexicon hit scores NEGATIVE 0.99; everything else POSITIVE 0.9.
+    """
+
+    def __init__(self):
+        self._lexicon = _load_lexicon()
+        self.call_count = 0
+        self._cache = {}
+        self._lock = threading.Lock()
+
+    def classify(self, text: str) -> tuple:
+        if not text:
+            raise ValueError("empty text")
+        with self._lock:
+            if text in self._cache:
+                return self._cache[text]
+        words = {w.strip(".,!?\"()") for w in text.lower().split()}
+        hit = bool(words & self._lexicon.keys())
+        result = ("NEGATIVE", 0.99) if hit else ("POSITIVE", 0.9)
+        with self._lock:
+            self.call_count += 1
+            self._cache[text] = result
+        return result
+
+
+class StubEmbedder:
+    """Deterministic pseudo-random unit vectors seeded by the input hash."""
+
+    def __init__(self, dimension: int = 768):
+        self.dimension = dimension
+        self._cache = {}
+        self._lock = threading.Lock()
+
+    def embed(self, text: str) -> np.ndarray:
+        if not text:
+            raise ValueError("empty text")
+        with self._lock:
+            if text in self._cache:
+                return self._cache[text]
+        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4], "big")
+        rng = np.random.RandomState(seed)
+        vec = rng.standard_normal(self.dimension)
+        vec /= np.linalg.norm(vec)
+        with self._lock:
+            self._cache[text] = vec
+        return vec
+
+
+class StubRewriter:
+    """Replaces lexicon-listed words with fixed neutral tokens, all else verbatim."""
+
+    def __init__(self):
+        self._lexicon = _load_lexicon()
+
+    def rewrite(self, req: RewriteRequest) -> str:
+        out_lines = []
+        for line in req.lyrics.splitlines():
+            words = line.split(" ")
+            replaced = []
+            for w in words:
+                stripped = w.strip(".,!?\"()").lower()
+                if stripped in self._lexicon:
+                    replaced.append(self._lexicon[stripped])
+                else:
+                    replaced.append(w)
+            out_lines.append(" ".join(replaced))
+        result = "\n".join(out_lines)
+        _check_length_contract(req.lyrics, result)
+        return result
+
+
+def sentiment_client_from_env(**overrides) -> SentimentClient:
+    return SentimentClient(_cfg_from_env(ENV_SENTIMENT_URL, **overrides))
+
+
+def embedding_client_from_env(**overrides) -> EmbeddingClient:
+    return EmbeddingClient(_cfg_from_env(ENV_EMBED_URL, **overrides))
+
+
+def rewrite_client_from_env(**overrides) -> RewriteClient:
+    return RewriteClient(_cfg_from_env(ENV_REWRITE_URL, **overrides))
+
+
+def _cfg_from_env(url_var: str, **overrides) -> ProviderConfig:
+    params = {
+        "endpoint": os.environ.get(url_var, ""),
+        "auth_token": os.environ.get(ENV_API_TOKEN, ""),
+    }
+    params.update(overrides)
+    return ProviderConfig(**params)

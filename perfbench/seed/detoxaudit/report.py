@@ -1,0 +1,321 @@
+"""Pipeline orchestration and comparison-report assembly."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy as np
+
+from . import lyrics as lyr
+from .audio_io import AudioBuffer, PreprocessConfig, load_track, preprocess
+from .dsp import frame_rms, load_section_map, rms_stats, slice_sections, stft
+from .voice import VoiceMetrics, radar_normalize, voice_report
+
+PLOT_KINDS = ("waveform", "spectrogram", "ngram", "radar", "similarity", "sentiment_sections")
+
+# decimation caps keeping plot payloads a bounded size inside the report
+MAX_PLOT_FRAMES = 512
+MAX_PLOT_BINS = 256
+SPECTROGRAM_FMAX = 8192.0
+NGRAM_TOP_K = 10
+
+
+class StageError(RuntimeError):
+    """Pipeline failure attributed to a named stage."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
+
+
+@dataclass(frozen=True)
+class TrackBundle:
+    vocal_stem: str
+    lyrics: str
+    artist_id: str
+    sections: str | None = None
+
+    def validate(self):
+        if not Path(self.vocal_stem).exists():
+            raise StageError("stage 1 (audio collection)", f"missing stem: {self.vocal_stem}")
+        if not Path(self.lyrics).exists():
+            raise StageError("stage 1 (lyric collection)", f"missing lyrics: {self.lyrics}")
+        if self.sections and not Path(self.sections).exists():
+            raise StageError("stage 1 (audio collection)", f"missing sections: {self.sections}")
+
+
+def _decimate(arr: np.ndarray, limit: int) -> np.ndarray:
+    stride = max(1, int(np.ceil(len(arr) / limit)))
+    return arr[::stride]
+
+
+def _analyze_audio_track(bundle: TrackBundle, cfg: PreprocessConfig) -> dict:
+    try:
+        raw = load_track(bundle.vocal_stem)
+    except Exception as exc:
+        raise StageError("stage 2 (audio load)", str(exc)) from exc
+    try:
+        buf = preprocess(raw, cfg)
+    except Exception as exc:
+        raise StageError("stage 3 (preprocessing)", str(exc)) from exc
+
+    try:
+        metrics = voice_report(buf)
+        series = frame_rms(buf)
+        spec = stft(buf)
+    except Exception as exc:
+        raise StageError("stage 5 (voice metrics)", str(exc)) from exc
+
+    mags_db = spec.to_db()
+    freqs = spec.frequencies
+    fmask = freqs <= SPECTROGRAM_FMAX
+    t_idx = _decimate(np.arange(mags_db.shape[0]), MAX_PLOT_FRAMES)
+    f_idx = _decimate(np.flatnonzero(fmask), MAX_PLOT_BINS)
+
+    result = {
+        "voice": metrics.as_dict(),
+        "rms": rms_stats(series),
+        "waveform": {
+            "times": _decimate(series.frame_times, MAX_PLOT_FRAMES).tolist(),
+            "rms": _decimate(series.values, MAX_PLOT_FRAMES).tolist(),
+        },
+        "spectrogram": {
+            "times": spec.frame_times[t_idx].tolist(),
+            "frequencies": freqs[f_idx].tolist(),
+            "db": np.round(mags_db[np.ix_(t_idx, f_idx)], 2).tolist(),
+        },
+    }
+    if bundle.sections:
+        section_map = load_section_map(bundle.sections)
+        per_section = []
+        for label, piece in slice_sections(buf, section_map):
+            stats = rms_stats(frame_rms(piece)) if len(piece.samples) else None
+            per_section.append({"label": label, "rms": stats})
+        result["sections"] = per_section
+    return result
+
+
+def _analyze_lyrics_track(bundle: TrackBundle, classifier) -> dict:
+    try:
+        text = Path(bundle.lyrics).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StageError("stage 1 (lyric collection)", str(exc)) from exc
+    doc = lyr.parse_lyrics(text)
+    try:
+        scores = lyr.score_document(doc, classifier)
+    except ValueError as exc:
+        raise StageError("stage 3 (sentiment analysis)", str(exc)) from exc
+    table = lyr.sentiment_table(scores, doc)
+    grams = {
+        f"{n}-gram": [
+            {"gram": list(g), "count": c} for g, c in lyr.ngram_counts(doc, n).top(NGRAM_TOP_K)
+        ]
+        for n in (2, 3)
+    }
+    return {
+        "doc": doc,
+        "line_count": len(doc),
+        "sentiment": table,
+        "per_line_scores": [s.standardized for s in scores],
+        "ngrams": grams,
+    }
+
+
+def build_comparison(original: dict, transformed: dict) -> dict:
+    """Pair the two metric sets: deltas, percent decrease, radar normalization."""
+    if original["artist_id"] != transformed["artist_id"]:
+        raise ValueError(
+            f"artist mismatch: {original['artist_id']} vs {transformed['artist_id']}"
+        )
+    ov, tv = original["audio"]["voice"], transformed["audio"]["voice"]
+    deltas = {}
+    for name in VoiceMetrics.METRIC_NAMES:
+        if ov.get(name) is not None and tv.get(name) is not None:
+            deltas[name] = tv[name] - ov[name]
+        else:
+            deltas[name] = None
+
+    orig_mean = original["lyrics"]["sentiment"]["per_line_mean"]
+    trans_mean = transformed["lyrics"]["sentiment"]["per_line_mean"]
+    sentiment_decrease = None
+    if orig_mean:
+        sentiment_decrease = lyr.percent_decrease(orig_mean, trans_mean)
+
+    radar = None
+    if all(ov.get(n) is not None and tv.get(n) is not None for n in VoiceMetrics.METRIC_NAMES):
+        om = VoiceMetrics(ov["hnr_db"], ov["cpp"], ov["jitter"], ov["shimmer"], 0.0)
+        tm = VoiceMetrics(tv["hnr_db"], tv["cpp"], tv["jitter"], tv["shimmer"], 0.0)
+        radar = {k: list(v) for k, v in radar_normalize([(om, tm)])[0].items()}
+
+    return {
+        "voice_deltas": deltas,
+        "sentiment_percent_decrease": sentiment_decrease,
+        "radar": radar,
+    }
+
+
+def run_pipeline(
+    original: TrackBundle,
+    transformed: TrackBundle,
+    preprocess_cfg: PreprocessConfig | None = None,
+    classifier=None,
+    embedder=None,
+    out_path=None,
+    similarity_window: int = 5,
+) -> dict:
+    """Run both frameworks over a song pair and assemble the comparison report.
+
+    The audio and lyric analyses for the two tracks run concurrently.
+    When out_path is given the report JSON is written atomically.
+    """
+    cfg = preprocess_cfg or PreprocessConfig()
+    if classifier is None or embedder is None:
+        raise ValueError("classifier and embedder are required (use the offline stubs)")
+    original.validate()
+    transformed.validate()
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        audio_futs = {
+            "original": pool.submit(_analyze_audio_track, original, cfg),
+            "transformed": pool.submit(_analyze_audio_track, transformed, cfg),
+        }
+        lyric_futs = {
+            "original": pool.submit(_analyze_lyrics_track, original, classifier),
+            "transformed": pool.submit(_analyze_lyrics_track, transformed, classifier),
+        }
+        audio = {k: f.result() for k, f in audio_futs.items()}
+        lyric = {k: f.result() for k, f in lyric_futs.items()}
+
+    try:
+        sims = lyr.line_similarity(
+            lyric["original"]["doc"], lyric["transformed"]["doc"], embedder,
+            window=similarity_window,
+        )
+    except ValueError as exc:
+        raise StageError("stage 4 (semantic analysis)", str(exc)) from exc
+
+    sides = {}
+    for side in ("original", "transformed"):
+        ldata = {k: v for k, v in lyric[side].items() if k != "doc"}
+        sides[side] = {
+            "artist_id": (original if side == "original" else transformed).artist_id,
+            "audio": audio[side],
+            "lyrics": ldata,
+        }
+
+    report = {
+        "artist_id": original.artist_id,
+        "original": sides["original"],
+        "transformed": sides["transformed"],
+        "similarity": {
+            "per_line": np.round(sims.per_line, 12).tolist(),
+            "rolling": np.round(sims.rolling, 12).tolist(),
+            "window": sims.window,
+            "mean": round(sims.mean, 12),
+            "unpaired": sims.unpaired,
+        },
+        "comparison": build_comparison(sides["original"], sides["transformed"]),
+        "provenance": {
+            "config": asdict(cfg),
+            "config_hash": hashlib.sha256(
+                json.dumps(asdict(cfg), sort_keys=True).encode()
+            ).hexdigest(),
+            "sentiment_provider": type(classifier).__name__,
+            "embedding_provider": type(embedder).__name__,
+            "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        },
+    }
+    if out_path is not None:
+        write_report(report, out_path)
+    return report
+
+
+def write_report(report: dict, path):
+    """Atomic JSON write: temp file in the target directory, then rename."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def load_report(path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _csv_rows(rows: list, header: list, out_path: Path):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(v) for v in row))
+    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def emit_plot_data(report: dict, kind: str, out_path):
+    """Write one plot-data CSV from values already present in the report."""
+    if kind not in PLOT_KINDS:
+        raise ValueError(f"unknown plot kind: {kind}")
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+
+    if kind == "waveform":
+        rows = []
+        for side in ("original", "transformed"):
+            wf = report[side]["audio"]["waveform"]
+            rows += [[side, t, v] for t, v in zip(wf["times"], wf["rms"])]
+        _csv_rows(rows, ["track", "time_sec", "rms"], out_path)
+    elif kind == "spectrogram":
+        rows = []
+        for side in ("original", "transformed"):
+            sg = report[side]["audio"]["spectrogram"]
+            for i, t in enumerate(sg["times"]):
+                for j, f in enumerate(sg["frequencies"]):
+                    rows.append([side, t, f, sg["db"][i][j]])
+        _csv_rows(rows, ["track", "time_sec", "freq_hz", "db"], out_path)
+    elif kind == "ngram":
+        rows = []
+        for side in ("original", "transformed"):
+            for order, entries in report[side]["lyrics"]["ngrams"].items():
+                for e in entries:
+                    rows.append([side, order, " ".join(e["gram"]), e["count"]])
+        _csv_rows(rows, ["track", "order", "gram", "count"], out_path)
+    elif kind == "radar":
+        radar = report["comparison"]["radar"]
+        if radar is None:
+            raise ValueError("radar data absent from report")
+        rows = [[name, radar[name][0], radar[name][1]] for name in sorted(radar)]
+        _csv_rows(rows, ["metric", "original_norm", "transformed_norm"], out_path)
+    elif kind == "similarity":
+        sim = report["similarity"]
+        window = sim["window"]
+        rows = []
+        for i, v in enumerate(sim["per_line"]):
+            j = i - (window - 1)
+            roll = sim["rolling"][j] if 0 <= j < len(sim["rolling"]) else ""
+            rows.append([i, v, roll])
+        _csv_rows(rows, ["line", "cosine", f"rolling_{window}"], out_path)
+    elif kind == "sentiment_sections":
+        rows = []
+        orig = report["original"]["lyrics"]["sentiment"]["sections"]
+        trans = report["transformed"]["lyrics"]["sentiment"]["sections"]
+        for label in orig:
+            o = orig[label] if orig[label] is not None else "-"
+            t = trans[label] if trans[label] is not None else "-"
+            if o == "-" and t == "-":
+                continue
+            rows.append([label, o, t])
+        _csv_rows(rows, ["section", "original", "transformed"], out_path)
+    return out_path

@@ -1,0 +1,404 @@
+"""Pitch tracking and the four aggression-linked voice metrics.
+
+HNR and CPP are frame-based spectral/cepstral measures; jitter and
+shimmer are computed from per-cycle period and amplitude sequences
+extracted with the pitch track as a guide.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .audio_io import AudioBuffer
+from .dsp import frame_rms, rms_stats
+
+HNR_CAP_DB = 40.0
+
+
+@dataclass(frozen=True)
+class PitchConfig:
+    fmin: float = 65.0
+    fmax: float = 400.0
+    frame_seconds: float = 0.040
+    hop_seconds: float = 0.010
+    voicing_threshold: float = 0.45
+    # frames with RMS below this fraction of the track peak RMS are unvoiced
+    silence_gate: float = 0.01
+
+
+@dataclass(frozen=True)
+class PitchTrack:
+    frame_times: np.ndarray
+    f0: np.ndarray  # Hz; NaN where unvoiced
+    voiced_flags: np.ndarray
+    confidence: np.ndarray
+
+    @property
+    def voiced_fraction(self) -> float:
+        if len(self.voiced_flags) == 0:
+            return 0.0
+        return float(np.mean(self.voiced_flags))
+
+    def voiced_f0(self) -> np.ndarray:
+        return self.f0[self.voiced_flags]
+
+
+@dataclass(frozen=True)
+class PeriodSequence:
+    """Cycle durations T_i (seconds) and peak-to-peak amplitudes A_i."""
+
+    periods: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if len(self.periods) != len(self.amplitudes):
+            raise ValueError("periods and amplitudes must have equal length")
+
+    @property
+    def count(self) -> int:
+        return len(self.periods)
+
+
+@dataclass(frozen=True)
+class VoiceMetrics:
+    """Per-track voice report. Pitch-dependent fields are None when absent."""
+
+    hnr_db: float | None
+    cpp: float | None
+    jitter: float | None
+    shimmer: float | None
+    voiced_fraction: float
+    rms: dict = field(default_factory=dict)
+
+    METRIC_NAMES = ("hnr_db", "cpp", "jitter", "shimmer")
+
+    def as_dict(self) -> dict:
+        return {
+            "hnr_db": self.hnr_db,
+            "cpp": self.cpp,
+            "jitter": self.jitter,
+            "shimmer": self.shimmer,
+            "voiced_fraction": self.voiced_fraction,
+            "rms": dict(self.rms),
+        }
+
+
+def _parabolic_interp(y: np.ndarray, i: int) -> tuple:
+    """Refine a discrete peak at index i; returns (offset, value)."""
+    if i <= 0 or i >= len(y) - 1:
+        return 0.0, float(y[i])
+    denom = y[i - 1] - 2 * y[i] + y[i + 1]
+    if denom == 0:
+        return 0.0, float(y[i])
+    offset = 0.5 * (y[i - 1] - y[i + 1]) / denom
+    value = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * offset
+    return float(offset), float(value)
+
+
+def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
+    """Frame-wise f0 via normalized autocorrelation with parabolic refinement.
+
+    A frame is voiced when its best normalized correlation clears the
+    voicing threshold and its RMS clears the silence gate. To avoid
+    octave-down errors, the shortest lag whose correlation is within 10%
+    of the best peak wins.
+    """
+    cfg = cfg or PitchConfig()
+    sr = buf.sample_rate
+    frame_len = int(round(cfg.frame_seconds * sr))
+    hop = int(round(cfg.hop_seconds * sr))
+    lag_min = max(2, int(np.floor(sr / cfg.fmax)))
+    lag_max = int(np.ceil(sr / cfg.fmin))
+    if lag_max >= frame_len:
+        raise ValueError("frame too short for fmin")
+
+    x = buf.samples
+    n_frames = max(0, 1 + (len(x) - frame_len) // hop)
+    times = np.arange(n_frames) * hop / sr
+    f0 = np.full(n_frames, np.nan)
+    voiced = np.zeros(n_frames, dtype=bool)
+    conf = np.zeros(n_frames)
+
+    if n_frames == 0:
+        return PitchTrack(times, f0, voiced, conf)
+
+    frames = x[np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]]
+    frame_rms_vals = np.sqrt((frames**2).mean(axis=1))
+    gate = cfg.silence_gate * (frame_rms_vals.max() if frame_rms_vals.max() > 0 else 1.0)
+
+    for k in range(n_frames):
+        if frame_rms_vals[k] <= gate:
+            continue
+        frame = frames[k] - frames[k].mean()
+        # normalized autocorrelation over the candidate lag range
+        full = np.correlate(frame, frame, mode="full")[frame_len - 1 :]
+        energy = full[0]
+        if energy <= 0:
+            continue
+        cumsq = np.cumsum(frame**2)
+        lags = np.arange(lag_min, min(lag_max + 1, frame_len))
+        e_head = cumsq[frame_len - lags - 1]
+        e_tail = cumsq[-1] - cumsq[lags - 1]
+        norm = np.sqrt(e_head * e_tail)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(norm > 0, full[lags] / norm, 0.0)
+        best = float(r.max())
+        if best < cfg.voicing_threshold:
+            conf[k] = max(best, 0.0)
+            continue
+        # earliest lag nearly as good as the global best beats octave errors
+        candidates = np.flatnonzero(r >= 0.9 * best)
+        i = int(candidates[0])
+        # keep local maxima only
+        while 0 < i < len(r) - 1 and r[i + 1] > r[i]:
+            i += 1
+        offset, peak_val = _parabolic_interp(r, i)
+        lag = lags[i] + offset
+        freq = sr / lag
+        if cfg.fmin <= freq <= cfg.fmax:
+            f0[k] = freq
+            voiced[k] = True
+            conf[k] = min(max(peak_val, 0.0), 1.0)
+
+    return PitchTrack(times, f0, voiced, conf)
+
+
+def _rising_crossings(x: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Sub-sample times (in samples) of rising zero-crossings in x[i0:i1]."""
+    seg = x[i0:i1]
+    idx = np.flatnonzero((seg[:-1] <= 0) & (seg[1:] > 0))
+    denom = seg[idx + 1] - seg[idx]
+    frac = np.where(denom != 0, -seg[idx] / denom, 0.0)
+    return i0 + idx + frac
+
+
+def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
+    """Chain cycle boundaries through voiced regions, guided by the f0 track.
+
+    Boundaries are linearly interpolated rising zero-crossings spaced about
+    one pitch period apart (the crossing closest to the predicted position
+    wins), so sub-sample period perturbations survive extraction. T_i is
+    the gap between consecutive boundaries; A_i is the peak-to-peak
+    amplitude of each cycle.
+    """
+    if int(np.sum(track.voiced_flags)) < 2:
+        raise ValueError("insufficient voicing")
+    sr = buf.sample_rate
+    x = buf.samples
+    hop = float(np.median(np.diff(track.frame_times))) if len(track.frame_times) > 1 else 0.01
+
+    periods = []
+    amplitudes = []
+
+    # walk each contiguous voiced run independently
+    v = track.voiced_flags
+    starts = np.flatnonzero(v & ~np.r_[False, v[:-1]])
+    ends = np.flatnonzero(v & ~np.r_[v[1:], False])
+    for s, e in zip(starts, ends):
+        f0_local = float(np.nanmedian(track.f0[s : e + 1]))
+        period = sr / f0_local  # samples
+        i0 = int(track.frame_times[s] * sr)
+        i1 = min(int((track.frame_times[e] + hop) * sr) + 1, len(x))
+        if i1 - i0 < 2 * period:
+            continue
+        crossings = _rising_crossings(x, i0, i1)
+        if len(crossings) < 2:
+            continue
+        boundaries = [crossings[0]]
+        pos = crossings[0]
+        while True:
+            lo, hi = pos + 0.7 * period, pos + 1.35 * period
+            window = crossings[(crossings >= lo) & (crossings <= hi)]
+            if len(window) == 0:
+                break
+            nxt = window[np.argmin(np.abs(window - (pos + period)))]
+            boundaries.append(nxt)
+            pos = nxt
+        for a, b in zip(boundaries[:-1], boundaries[1:]):
+            periods.append((b - a) / sr)
+            cyc = x[int(np.floor(a)) : int(np.ceil(b))]
+            amplitudes.append(float(cyc.max() - cyc.min()))
+
+    if len(periods) < 2:
+        raise ValueError("insufficient voicing")
+    return PeriodSequence(np.asarray(periods), np.asarray(amplitudes))
+
+
+def hnr(
+    buf: AudioBuffer,
+    track: PitchTrack,
+    frame_length: int = 4096,
+    harmonic_halfwidth_bins: float = 2.0,
+) -> float | None:
+    """Mean harmonics-to-noise ratio in dB over voiced frames.
+
+    Per frame, spectral energy within +/- harmonic_halfwidth_bins of each
+    multiple of f0 counts as harmonic; the remainder is noise. Frames are
+    capped at HNR_CAP_DB before averaging.
+    """
+    if track.voiced_fraction == 0:
+        return None
+    sr = buf.sample_rate
+    x = buf.samples
+    while frame_length > len(x) and frame_length > 1024:
+        frame_length //= 2
+    win = np.hanning(frame_length)
+    bins = np.arange(frame_length // 2 + 1)
+    values = []
+    for k in np.flatnonzero(track.voiced_flags):
+        center = int(track.frame_times[k] * sr)
+        i0 = center
+        i1 = i0 + frame_length
+        if i1 > len(x):
+            break
+        spec = np.fft.rfft(x[i0:i1] * win)
+        power = np.abs(spec) ** 2
+        # interior bins of the rfft carry both positive and negative freqs
+        weights = np.full(len(power), 2.0)
+        weights[0] = 1.0
+        if frame_length % 2 == 0:
+            weights[-1] = 1.0
+        power = power * weights
+        f0_bin = track.f0[k] * frame_length / sr
+        n_harm = int((frame_length / 2) // f0_bin)
+        harmonic_mask = np.zeros(len(power), dtype=bool)
+        for h in range(1, n_harm + 1):
+            harmonic_mask |= np.abs(bins - h * f0_bin) <= harmonic_halfwidth_bins
+        e_harm = power[harmonic_mask].sum()
+        e_noise = power.sum() - e_harm
+        if e_noise <= 0:
+            values.append(HNR_CAP_DB)
+        elif e_harm > 0:
+            values.append(min(10 * np.log10(e_harm / e_noise), HNR_CAP_DB))
+    if not values:
+        return None
+    return float(np.mean(values))
+
+
+def cpp(
+    buf: AudioBuffer,
+    frame_length: int = 2048,
+    hop: int = 1024,
+    f_search: tuple = (60.0, 330.0),
+    baseline: str = "regression",
+    energy_gate: float = 1e-4,
+) -> float | None:
+    """Mean cepstral peak prominence over frames that pass the energy gate.
+
+    Per frame: real cepstrum of the dB power spectrum; the peak within the
+    quefrency band for f_search is measured against either a linear
+    regression baseline over that band ("regression") or the flat mean of
+    the band ("mean"). Frames whose mean-removed RMS is below energy_gate
+    are skipped; a DC-only signal therefore reports no CPP.
+    """
+    if baseline not in ("regression", "mean"):
+        raise ValueError("baseline must be 'regression' or 'mean'")
+    sr = buf.sample_rate
+    x = buf.samples
+    if len(x) < frame_length:
+        raise ValueError("buffer shorter than one frame")
+    q_lo = int(np.floor(sr / f_search[1]))
+    q_hi = int(np.ceil(sr / f_search[0]))
+    q_hi = min(q_hi, frame_length - 1)
+    win = np.hanning(frame_length)
+    n_frames = 1 + (len(x) - frame_length) // hop
+    values = []
+    for k in range(n_frames):
+        frame = x[k * hop : k * hop + frame_length]
+        ac = frame - frame.mean()
+        if np.sqrt((ac**2).mean()) < energy_gate:
+            continue
+        spec = np.abs(np.fft.rfft(frame * win)) ** 2
+        log_spec = 10 * np.log10(spec + 1e-12)
+        cep = np.fft.irfft(log_spec)
+        band = cep[q_lo : q_hi + 1]
+        q = np.arange(q_lo, q_hi + 1, dtype=float)
+        i_peak = int(np.argmax(band))
+        peak = band[i_peak]
+        if baseline == "regression":
+            slope, intercept = np.polyfit(q, band, 1)
+            base = slope * q[i_peak] + intercept
+        else:
+            base = band.mean()
+        values.append(float(peak - base))
+    if not values:
+        return None
+    return float(np.mean(values))
+
+
+def jitter(seq: PeriodSequence, percent: bool = False) -> float:
+    """Mean absolute cycle-to-cycle period difference over the mean period."""
+    if seq.count < 2:
+        raise ValueError("need at least 2 periods")
+    t = seq.periods
+    value = np.abs(np.diff(t)).mean() / t.mean()
+    return float(value * 100 if percent else value)
+
+
+def shimmer(seq: PeriodSequence, percent: bool = False) -> float:
+    """Mean absolute cycle-to-cycle amplitude difference over the mean amplitude."""
+    if seq.count < 2:
+        raise ValueError("need at least 2 periods")
+    a = seq.amplitudes
+    mean_a = a.mean()
+    if mean_a == 0:
+        raise ValueError("mean amplitude is zero")
+    value = np.abs(np.diff(a)).mean() / mean_a
+    return float(value * 100 if percent else value)
+
+
+def voice_report(buf: AudioBuffer, pitch_cfg: PitchConfig | None = None) -> VoiceMetrics:
+    """Full per-track voice metrics. Absent metrics stay None, never zero."""
+    pitch_cfg = pitch_cfg or PitchConfig()
+    try:
+        rms = rms_stats(frame_rms(buf))
+    except ValueError:
+        rms = {"avg": 0.0, "max": 0.0, "min": 0.0}
+    if buf.silent or not np.any(buf.samples):
+        return VoiceMetrics(None, None, None, None, 0.0, {"avg": 0.0, "max": 0.0, "min": 0.0})
+    track = estimate_f0(buf, pitch_cfg)
+    hnr_val = hnr(buf, track)
+    try:
+        cpp_val = cpp(buf)
+    except ValueError:
+        cpp_val = None
+    jitter_val = shimmer_val = None
+    if track.voiced_fraction > 0:
+        try:
+            seq = extract_periods(buf, track)
+            jitter_val = jitter(seq)
+            shimmer_val = shimmer(seq)
+        except ValueError:
+            pass
+    return VoiceMetrics(hnr_val, cpp_val, jitter_val, shimmer_val, track.voiced_fraction, rms)
+
+
+def radar_normalize(pairs: list) -> list:
+    """Min-max normalize metric pairs onto [0, 1] per axis for radar plots.
+
+    Input: list of (original VoiceMetrics, transformed VoiceMetrics).
+    Output: list of dicts {metric: (orig_norm, trans_norm)}. A constant
+    axis maps to 0.5 everywhere. Absent metrics raise.
+    """
+    if not pairs:
+        raise ValueError("need at least one pair")
+    out = [dict() for _ in pairs]
+    for name in VoiceMetrics.METRIC_NAMES:
+        values = []
+        for orig, trans in pairs:
+            ov, tv = getattr(orig, name), getattr(trans, name)
+            if ov is None or tv is None:
+                raise ValueError(f"absent metric {name} in radar input")
+            values.extend([ov, tv])
+        lo, hi = min(values), max(values)
+        for i, (orig, trans) in enumerate(pairs):
+            if hi == lo:
+                out[i][name] = (0.5, 0.5)
+            else:
+                out[i][name] = (
+                    (getattr(orig, name) - lo) / (hi - lo),
+                    (getattr(trans, name) - lo) / (hi - lo),
+                )
+    return out
