@@ -59,12 +59,18 @@ class SectionMap:
                 raise ValueError(f"section {label}: start {start} >= end {end}")
 
 
-def _frames(x: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
-    n = 1 + (len(x) - frame_length) // hop
-    if n < 1:
+def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.ndarray:
+    """Frames of x as rows: every hop samples from 0, or at explicit start offsets.
+
+    Hop framing returns a read-only strided view of x; explicit starts,
+    each of which must leave a whole frame inside x, return a copy.
+    """
+    if len(x) < frame_length:
         raise ValueError("buffer shorter than one frame")
-    idx = np.arange(frame_length)[None, :] + hop * np.arange(n)[:, None]
-    return x[idx]
+    windows = np.lib.stride_tricks.sliding_window_view(x, frame_length)
+    if starts is None:
+        return windows[::hop]
+    return windows[starts]
 
 
 def stft(

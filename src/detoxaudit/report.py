@@ -7,7 +7,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -172,8 +171,9 @@ def run_pipeline(
 ) -> dict:
     """Run both frameworks over a song pair and assemble the comparison report.
 
-    The audio and lyric analyses for the two tracks run concurrently.
-    When out_path is given the report JSON is written atomically.
+    The two audio analyses run first, then the two lyric analyses, one
+    after the other. When out_path is given the report JSON is written
+    atomically.
     """
     cfg = preprocess_cfg or PreprocessConfig()
     if classifier is None or embedder is None:
@@ -181,17 +181,9 @@ def run_pipeline(
     original.validate()
     transformed.validate()
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        audio_futs = {
-            "original": pool.submit(_analyze_audio_track, original, cfg),
-            "transformed": pool.submit(_analyze_audio_track, transformed, cfg),
-        }
-        lyric_futs = {
-            "original": pool.submit(_analyze_lyrics_track, original, classifier),
-            "transformed": pool.submit(_analyze_lyrics_track, transformed, classifier),
-        }
-        audio = {k: f.result() for k, f in audio_futs.items()}
-        lyric = {k: f.result() for k, f in lyric_futs.items()}
+    bundles = {"original": original, "transformed": transformed}
+    audio = {side: _analyze_audio_track(b, cfg) for side, b in bundles.items()}
+    lyric = {side: _analyze_lyrics_track(b, classifier) for side, b in bundles.items()}
 
     try:
         sims = lyr.line_similarity(
@@ -205,7 +197,7 @@ def run_pipeline(
     for side in ("original", "transformed"):
         ldata = {k: v for k, v in lyric[side].items() if k != "doc"}
         sides[side] = {
-            "artist_id": (original if side == "original" else transformed).artist_id,
+            "artist_id": bundles[side].artist_id,
             "audio": audio[side],
             "lyrics": ldata,
         }

@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import frame_rms, rms_stats
+from .dsp import _frames, frame_rms, rms_stats
 
 HNR_CAP_DB = 40.0
+# frames per batch in the f0, HNR and CPP kernels; at 4096-sample HNR frames a
+# chunk's complex spectrum takes 2 MiB and each float temporary 1 MiB
+CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -85,25 +88,17 @@ class VoiceMetrics:
         }
 
 
-def _parabolic_interp(y: np.ndarray, i: int) -> tuple:
-    """Refine a discrete peak at index i; returns (offset, value)."""
-    if i <= 0 or i >= len(y) - 1:
-        return 0.0, float(y[i])
-    denom = y[i - 1] - 2 * y[i] + y[i + 1]
-    if denom == 0:
-        return 0.0, float(y[i])
-    offset = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    value = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * offset
-    return float(offset), float(value)
-
-
 def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     """Frame-wise f0 via normalized autocorrelation with parabolic refinement.
 
-    A frame is voiced when its best normalized correlation clears the
-    voicing threshold and its RMS clears the silence gate. To avoid
-    octave-down errors, the shortest lag whose correlation is within 10%
-    of the best peak wins.
+    The autocorrelation of each frame is computed by FFT (Wiener-Khinchin:
+    the inverse transform of the power spectrum, zero-padded to at least
+    2 * frame - 1 samples so it is linear, not circular) and normalized by
+    the energies of the overlapping head and tail (Boersma 1993). A frame
+    is voiced when its best normalized correlation clears the voicing
+    threshold and its RMS clears the silence gate. To avoid octave-down
+    errors, the shortest lag whose correlation is within 10% of the best
+    peak wins.
     """
     cfg = cfg or PitchConfig()
     sr = buf.sample_rate
@@ -124,43 +119,56 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     if n_frames == 0:
         return PitchTrack(times, f0, voiced, conf)
 
-    frames = x[np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]]
-    frame_rms_vals = np.sqrt((frames**2).mean(axis=1))
+    frames = _frames(x, frame_len, hop)
+    frame_rms_vals = np.concatenate([
+        np.sqrt((frames[c : c + CHUNK_FRAMES] ** 2).mean(axis=1))
+        for c in range(0, n_frames, CHUNK_FRAMES)
+    ])
     gate = cfg.silence_gate * (frame_rms_vals.max() if frame_rms_vals.max() > 0 else 1.0)
 
-    for k in range(n_frames):
-        if frame_rms_vals[k] <= gate:
-            continue
-        frame = frames[k] - frames[k].mean()
-        # normalized autocorrelation over the candidate lag range
-        full = np.correlate(frame, frame, mode="full")[frame_len - 1 :]
-        energy = full[0]
-        if energy <= 0:
-            continue
-        cumsq = np.cumsum(frame**2)
-        lags = np.arange(lag_min, min(lag_max + 1, frame_len))
-        e_head = cumsq[frame_len - lags - 1]
-        e_tail = cumsq[-1] - cumsq[lags - 1]
+    n_fft = 1 << (2 * frame_len - 2).bit_length()
+    lags = np.arange(lag_min, min(lag_max + 1, frame_len))
+    n_lags = len(lags)
+    gated = np.flatnonzero(~(frame_rms_vals <= gate))  # a NaN frame is not gated
+    for c in range(0, len(gated), CHUNK_FRAMES):
+        ks = gated[c : c + CHUNK_FRAMES]
+        frame = frames[ks]
+        frame = frame - frame.mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(frame, n_fft, axis=1)
+        full = np.fft.irfft(spec.real**2 + spec.imag**2, n_fft, axis=1)
+        cumsq = np.cumsum(frame**2, axis=1)
+        energy = cumsq[:, -1]
+        e_head = cumsq[:, frame_len - lags - 1]
+        e_tail = energy[:, None] - cumsq[:, lags - 1]
         norm = np.sqrt(e_head * e_tail)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(norm > 0, full[lags] / norm, 0.0)
-        best = float(r.max())
-        if best < cfg.voicing_threshold:
-            conf[k] = max(best, 0.0)
-            continue
+            r = np.where(norm > 0, full[:, lag_min : lag_min + n_lags] / norm, 0.0)
+        best = r.max(axis=1)
+        weak = best < cfg.voicing_threshold
+        conf[ks[weak]] = np.maximum(best[weak], 0.0)
+
+        rows = np.arange(len(ks))
         # earliest lag nearly as good as the global best beats octave errors
-        candidates = np.flatnonzero(r >= 0.9 * best)
-        i = int(candidates[0])
-        # keep local maxima only
-        while 0 < i < len(r) - 1 and r[i + 1] > r[i]:
-            i += 1
-        offset, peak_val = _parabolic_interp(r, i)
-        lag = lags[i] + offset
-        freq = sr / lag
-        if cfg.fmin <= freq <= cfg.fmax:
-            f0[k] = freq
-            voiced[k] = True
-            conf[k] = min(max(peak_val, 0.0), 1.0)
+        i = np.argmax(r >= 0.9 * best[:, None], axis=1)
+        # climb to the local maximum, but never from lag index 0
+        stop = np.ones_like(r, dtype=bool)
+        stop[:, :-1] = r[:, 1:] <= r[:, :-1]
+        stop &= np.arange(n_lags) >= i[:, None]
+        i = np.where(i > 0, np.argmax(stop, axis=1), 0)
+        # parabolic refinement at interior peaks
+        y0 = r[rows, np.maximum(i - 1, 0)]
+        y1 = r[rows, i]
+        y2 = r[rows, np.minimum(i + 1, n_lags - 1)]
+        denom = y0 - 2 * y1 + y2
+        interior = (i > 0) & (i < n_lags - 1) & (denom != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offset = np.where(interior, 0.5 * (y0 - y2) / denom, 0.0)
+            freq = sr / (lags[i] + offset)
+        peak_val = np.where(interior, y1 - 0.25 * (y0 - y2) * offset, y1)
+        ok = (energy > 0) & ~weak & (cfg.fmin <= freq) & (freq <= cfg.fmax)
+        f0[ks[ok]] = freq[ok]
+        voiced[ks[ok]] = True
+        conf[ks[ok]] = np.minimum(np.maximum(peak_val[ok], 0.0), 1.0)
 
     return PitchTrack(times, f0, voiced, conf)
 
@@ -234,9 +242,12 @@ def hnr(
 ) -> float | None:
     """Mean harmonics-to-noise ratio in dB over voiced frames.
 
-    Per frame, spectral energy within +/- harmonic_halfwidth_bins of each
-    multiple of f0 counts as harmonic; the remainder is noise. Frames are
-    capped at HNR_CAP_DB before averaging.
+    Each voiced frame starts at its frame time and spans frame_length
+    samples (halved, down to 1024, while longer than the buffer); frames
+    are taken in track order up to the first one that runs past the end of
+    the buffer. Per frame, spectral energy within +/- harmonic_halfwidth_bins
+    of each multiple of f0 counts as harmonic; the remainder is noise.
+    Frames are capped at HNR_CAP_DB before averaging.
     """
     if track.voiced_fraction == 0:
         return None
@@ -246,33 +257,33 @@ def hnr(
         frame_length //= 2
     win = np.hanning(frame_length)
     bins = np.arange(frame_length // 2 + 1)
+    # interior bins of the rfft carry both positive and negative freqs
+    weights = np.full(len(bins), 2.0)
+    weights[0] = 1.0
+    if frame_length % 2 == 0:
+        weights[-1] = 1.0
+
+    ks = np.flatnonzero(track.voiced_flags)
+    start = (track.frame_times[ks] * sr).astype(int)
+    fits = np.logical_and.accumulate(start + frame_length <= len(x))
+    ks, start = ks[fits], start[fits]
     values = []
-    for k in np.flatnonzero(track.voiced_flags):
-        center = int(track.frame_times[k] * sr)
-        i0 = center
-        i1 = i0 + frame_length
-        if i1 > len(x):
-            break
-        spec = np.fft.rfft(x[i0:i1] * win)
-        power = np.abs(spec) ** 2
-        # interior bins of the rfft carry both positive and negative freqs
-        weights = np.full(len(power), 2.0)
-        weights[0] = 1.0
-        if frame_length % 2 == 0:
-            weights[-1] = 1.0
-        power = power * weights
-        f0_bin = track.f0[k] * frame_length / sr
-        n_harm = int((frame_length / 2) // f0_bin)
-        harmonic_mask = np.zeros(len(power), dtype=bool)
-        for h in range(1, n_harm + 1):
-            harmonic_mask |= np.abs(bins - h * f0_bin) <= harmonic_halfwidth_bins
-        e_harm = power[harmonic_mask].sum()
-        e_noise = power.sum() - e_harm
-        if e_noise <= 0:
-            values.append(HNR_CAP_DB)
-        elif e_harm > 0:
-            values.append(min(10 * np.log10(e_harm / e_noise), HNR_CAP_DB))
-    if not values:
+    for c in range(0, len(ks), CHUNK_FRAMES):
+        spec = np.fft.rfft(_frames(x, frame_length, starts=start[c : c + CHUNK_FRAMES]) * win)
+        power = np.abs(spec) ** 2 * weights
+        f0_bin = track.f0[ks[c : c + CHUNK_FRAMES], None] * frame_length / sr
+        n_harm = (frame_length / 2) // f0_bin
+        # a bin is harmonic when the nearest multiple h * f0, 1 <= h <= n_harm, is close
+        nearest = np.clip(np.round(bins / f0_bin), 1, np.maximum(n_harm, 1))
+        harmonic_mask = (np.abs(bins - nearest * f0_bin) <= harmonic_halfwidth_bins) & (n_harm >= 1)
+        e_harm = np.where(harmonic_mask, power, 0.0).sum(axis=1)
+        e_noise = power.sum(axis=1) - e_harm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            db = np.minimum(10 * np.log10(e_harm / e_noise), HNR_CAP_DB)
+        # a frame with noise but no harmonic energy has no finite ratio and is dropped
+        values.append(np.where(e_noise <= 0, HNR_CAP_DB, db)[(e_noise <= 0) | (e_harm > 0)])
+    values = np.concatenate(values) if values else np.empty(0)
+    if len(values) == 0:
         return None
     return float(np.mean(values))
 
@@ -288,10 +299,10 @@ def cpp(
     """Mean cepstral peak prominence over frames that pass the energy gate.
 
     Per frame: real cepstrum of the dB power spectrum; the peak within the
-    quefrency band for f_search is measured against either a linear
-    regression baseline over that band ("regression") or the flat mean of
-    the band ("mean"). Frames whose mean-removed RMS is below energy_gate
-    are skipped; a DC-only signal therefore reports no CPP.
+    quefrency band for f_search is measured against either a least-squares
+    line over that band ("regression", Hillenbrand et al. 1994) or the flat
+    mean of the band ("mean"). Frames whose mean-removed RMS is below
+    energy_gate are skipped; a DC-only signal therefore reports no CPP.
     """
     if baseline not in ("regression", "mean"):
         raise ValueError("baseline must be 'regression' or 'mean'")
@@ -303,27 +314,28 @@ def cpp(
     q_hi = int(np.ceil(sr / f_search[0]))
     q_hi = min(q_hi, frame_length - 1)
     win = np.hanning(frame_length)
-    n_frames = 1 + (len(x) - frame_length) // hop
+    q = np.arange(q_lo, q_hi + 1, dtype=float)
+    q_dev = q - q.mean()
+    frames = _frames(x, frame_length, hop)
     values = []
-    for k in range(n_frames):
-        frame = x[k * hop : k * hop + frame_length]
-        ac = frame - frame.mean()
-        if np.sqrt((ac**2).mean()) < energy_gate:
-            continue
+    for c in range(0, len(frames), CHUNK_FRAMES):
+        frame = frames[c : c + CHUNK_FRAMES]
+        ac = frame - frame.mean(axis=1, keepdims=True)
+        frame = frame[~(np.sqrt((ac**2).mean(axis=1)) < energy_gate)]  # a NaN frame is kept
         spec = np.abs(np.fft.rfft(frame * win)) ** 2
         log_spec = 10 * np.log10(spec + 1e-12)
-        cep = np.fft.irfft(log_spec)
-        band = cep[q_lo : q_hi + 1]
-        q = np.arange(q_lo, q_hi + 1, dtype=float)
-        i_peak = int(np.argmax(band))
-        peak = band[i_peak]
+        band = np.fft.irfft(log_spec)[:, q_lo : q_hi + 1]
+        i_peak = np.argmax(band, axis=1)
+        peak = band[np.arange(len(band)), i_peak]
+        band_mean = band.mean(axis=1)
         if baseline == "regression":
-            slope, intercept = np.polyfit(q, band, 1)
-            base = slope * q[i_peak] + intercept
+            slope = (band @ q_dev) / (q_dev @ q_dev)
+            base = band_mean + slope * q_dev[i_peak]
         else:
-            base = band.mean()
-        values.append(float(peak - base))
-    if not values:
+            base = band_mean
+        values.append(peak - base)
+    values = np.concatenate(values)
+    if len(values) == 0:
         return None
     return float(np.mean(values))
 

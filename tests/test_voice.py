@@ -4,6 +4,7 @@ import pytest
 from detoxaudit import (
     PeriodSequence,
     PitchConfig,
+    PitchTrack,
     VoiceMetrics,
     cpp,
     estimate_f0,
@@ -56,6 +57,23 @@ class TestEstimateF0:
         assert np.all(np.isfinite(track.f0[track.voiced_flags]))
         assert np.all(np.isnan(track.f0[~track.voiced_flags]))
 
+    def test_candidate_at_first_lag_does_not_climb(self):
+        # period 51 samples; fmax = SR / 50 puts the first candidate lag at 50,
+        # whose correlation is within 10% of the peak at 51: it is taken as is
+        cfg = PitchConfig(fmax=SR / 50)
+        track = estimate_f0(buffer(make_tone(SR / 51, 1.0)), cfg)
+        assert track.voiced_fraction > 0.9
+        assert np.all(track.voiced_f0() == SR / 50)
+
+    def test_gated_frames_keep_zero_confidence(self):
+        quiet = 1e-4 * make_noise(1.0, seed=15)
+        track = estimate_f0(buffer(np.concatenate([make_tone(220, 1.0), quiet])))
+        in_quiet = track.frame_times >= 1.0
+        assert np.all(track.confidence[in_quiet] == 0.0)
+        assert not np.any(track.voiced_flags[in_quiet])
+        # on its own the quiet noise clears the gate and gets a confidence
+        assert np.any(estimate_f0(buffer(quiet)).confidence > 0)
+
 
 class TestExtractPeriods:
     def test_pure_100hz_periods(self):
@@ -107,6 +125,18 @@ class TestHnr:
         buf = buffer(make_noise(2.0, seed=10) / 3)
         assert hnr(buf, estimate_f0(buf)) is None
 
+    def test_stops_at_first_overrunning_frame(self):
+        sig = make_harmonic(220, seconds=1.0) + 0.3 * make_noise(1.0, seed=16)
+        buf = buffer(sig / np.abs(sig).max())
+
+        def track(times):
+            n = len(times)
+            return PitchTrack(np.array(times), np.full(n, 220.0), np.ones(n, bool), np.ones(n))
+
+        # the 0.98 s frame runs past the end: frames after it are not used
+        assert hnr(buf, track([0.0, 0.98, 0.1])) == hnr(buf, track([0.0]))
+        assert hnr(buf, track([0.98, 0.0])) is None
+
 
 class TestCpp:
     def test_pulse_train_beats_noise(self):
@@ -119,6 +149,9 @@ class TestCpp:
 
     def test_dc_signal_absent(self):
         assert cpp(buffer(np.ones(SR * 2))) is None
+
+    def test_dc_offset_over_many_frames_absent(self):
+        assert cpp(buffer(np.full(SR * 5, 0.37))) is None
 
     def test_mean_baseline_mode(self):
         buf = buffer(make_harmonic(110, seconds=1.0) / 4)

@@ -1,0 +1,120 @@
+"""Property tests: the batched f0, HNR and CPP kernels equal the per-frame loops.
+
+The loops in voice_loops.py are the reference. Values must agree to rel
+1e-9 (abs 1e-12 floor) and voicing decisions exactly, on random
+harmonic-plus-noise buffers with leading and trailing silence, at frame
+counts of 1, one chunk and one chunk plus one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import voice_loops
+from detoxaudit import PitchConfig, PitchTrack, cpp, estimate_f0, hnr
+from detoxaudit.voice import CHUNK_FRAMES
+from conftest import SR, buffer
+
+RTOL, ATOL = 1e-9, 1e-12
+FRAME_COUNTS = (1, CHUNK_FRAMES, CHUNK_FRAMES + 1)
+
+F0_FRAME = int(round(PitchConfig.frame_seconds * SR))
+F0_HOP = int(round(PitchConfig.hop_seconds * SR))
+CPP_FRAME, CPP_HOP = 2048, 1024
+
+kernel_settings = settings(max_examples=12, deadline=None, database=None)
+
+
+@st.composite
+def voices(draw, n_samples):
+    """Harmonic-plus-noise voice of n_samples with silence at both ends."""
+    f0 = draw(st.floats(80.0, 350.0))
+    n_harm = draw(st.integers(1, 8))
+    noise = draw(st.floats(0.0, 1.0))
+    amp = draw(st.floats(1e-3, 1.0))
+    lead = draw(st.integers(0, n_samples // 3))
+    trail = draw(st.integers(0, n_samples // 3))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    t = np.arange(n_samples) / SR
+    x = sum(np.sin(2 * np.pi * f0 * h * t + rng.uniform(0, 2 * np.pi)) / h
+            for h in range(1, n_harm + 1))
+    x = x + noise * rng.standard_normal(n_samples)
+    x[:lead] = 0.0
+    x[n_samples - trail:] = 0.0
+    return buffer(amp * x)
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL)
+
+
+def assert_same_metric(actual, expected):
+    assert (actual is None) == (expected is None)
+    if expected is not None:
+        assert_close(actual, expected)
+
+
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+@kernel_settings
+@given(data=st.data())
+def test_estimate_f0_matches_loop(n_frames, data):
+    extra = data.draw(st.integers(0, F0_HOP - 1))
+    buf = data.draw(voices(F0_FRAME + F0_HOP * (n_frames - 1) + extra))
+    got, want = estimate_f0(buf), voice_loops.estimate_f0(buf)
+    assert len(got.frame_times) == n_frames
+    np.testing.assert_array_equal(got.voiced_flags, want.voiced_flags)
+    np.testing.assert_array_equal(np.isnan(got.f0), np.isnan(want.f0))
+    assert_close(got.f0[got.voiced_flags], want.f0[want.voiced_flags])
+    assert_close(got.confidence, want.confidence)
+
+
+@kernel_settings
+@given(data=st.data())
+def test_estimate_f0_matches_loop_any_length(data):
+    buf = data.draw(voices(data.draw(st.integers(1, 2 * SR))))
+    got, want = estimate_f0(buf), voice_loops.estimate_f0(buf)
+    np.testing.assert_array_equal(got.voiced_flags, want.voiced_flags)
+    assert_close(got.f0[got.voiced_flags], want.f0[want.voiced_flags])
+    assert_close(got.confidence, want.confidence)
+
+
+@pytest.mark.parametrize("frame_length", (4096, 2048, 1024))
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+@kernel_settings
+@given(data=st.data())
+def test_hnr_matches_loop(n_frames, frame_length, data):
+    """Frames of frame_length fit the buffer exactly: a buffer shorter than
+    4096 samples makes hnr halve its frame to 2048 or 1024 samples. The
+    track's f0 spans 50 Hz to 12 kHz; a tenth of frames sit just past
+    Nyquist, where no harmonic fits but the band around f0 still reaches
+    the top bin."""
+    hop = data.draw(st.integers(1, min(F0_HOP, (frame_length - 1) // max(n_frames - 1, 1))))
+    buf = data.draw(voices(frame_length + hop * (n_frames - 1)))
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**31 - 1)))
+    n_track = n_frames + data.draw(st.integers(0, 3))  # trailing frames overrun
+    f0 = np.where(rng.uniform(size=n_track) < 0.1,
+                  SR / 2 + rng.uniform(0, 2.5 * SR / frame_length, n_track),
+                  np.exp(rng.uniform(np.log(50.0), np.log(12000.0), n_track)))
+    voiced = rng.uniform(size=n_track) < data.draw(st.floats(0.1, 1.0))
+    track = PitchTrack(np.arange(n_track) * hop / SR, np.where(voiced, f0, np.nan), voiced,
+                       voiced.astype(float))
+    assert_same_metric(hnr(buf, track), voice_loops.hnr(buf, track))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_hnr_on_estimated_track_matches_loop(data):
+    buf = data.draw(voices(data.draw(st.integers(F0_FRAME, 2 * SR))))
+    track = voice_loops.estimate_f0(buf)
+    assert_same_metric(hnr(buf, track), voice_loops.hnr(buf, track))
+
+
+@pytest.mark.parametrize("baseline", ("regression", "mean"))
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+@kernel_settings
+@given(data=st.data())
+def test_cpp_matches_loop(n_frames, baseline, data):
+    extra = data.draw(st.integers(0, CPP_HOP - 1))
+    buf = data.draw(voices(CPP_FRAME + CPP_HOP * (n_frames - 1) + extra))
+    assert_same_metric(cpp(buf, baseline=baseline), voice_loops.cpp(buf, baseline=baseline))
