@@ -66,6 +66,7 @@ def load_track(path) -> AudioBuffer:
     """Load a PCM WAV file (16-bit int or 32-bit float) as a mono buffer.
 
     Multichannel input is averaged to mono; the file's sample rate is kept.
+    A float file holding any NaN or infinite sample is rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -86,6 +87,8 @@ def load_track(path) -> AudioBuffer:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     else:
         raise AudioLoadError(f"unsupported sample encoding {data.dtype} in {path}")
+    if not np.isfinite(samples).all():
+        raise AudioLoadError(f"non-finite samples (NaN or Inf) in {path}")
     if samples.ndim > 1:
         samples = samples.mean(axis=1)
     return AudioBuffer(samples, int(rate), source_id=path.stem)

@@ -8,11 +8,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import lyrics as lyr
 from . import providers, report
-from .audio_io import AudioLoadError, PreprocessConfig, load_track, preprocess
-from .dsp import frame_rms, rms_stats
-from .voice import voice_report
+from .audio_io import AudioLoadError, PreprocessConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -34,8 +31,10 @@ def _load_config(path: str | None) -> dict:
 
 def _preprocess_cfg(args) -> PreprocessConfig:
     cfg = _load_config(getattr(args, "config", None))
-    known = {f for f in PreprocessConfig.__dataclass_fields__}
-    params = {k: v for k, v in cfg.items() if k in known}
+    unknown = sorted(set(cfg) - set(PreprocessConfig.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    params = dict(cfg)
     if getattr(args, "target_rate", None):
         params["target_rate"] = args.target_rate
     if getattr(args, "max_seconds", None):
@@ -55,38 +54,23 @@ def _providers(args):
 
 
 def cmd_analyze_audio(args) -> int:
-    cfg = _preprocess_cfg(args)
-    buf = preprocess(load_track(args.stem), cfg)
-    metrics = voice_report(buf)
-    out = metrics.as_dict()
+    _, result = report.analyze_audio(args.stem, _preprocess_cfg(args), args.sections)
+    out = result["voice"]
     if args.percent:
         for key in ("jitter", "shimmer"):
             if out[key] is not None:
                 out[key] *= 100
-    out["rms"] = rms_stats(frame_rms(buf))
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    if args.sections:
+        out["sections"] = result["sections"]
+    print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
 def cmd_analyze_lyrics(args) -> int:
-    text = Path(args.lyrics).read_text(encoding="utf-8")
-    doc = lyr.parse_lyrics(text)
     classifier, _ = _providers(args)
-    scores = lyr.score_document(doc, classifier)
-    out = {
-        "line_count": len(doc),
-        "sentiment": lyr.sentiment_table(scores, doc),
-        "ngrams": {
-            f"{n}-gram": [
-                {"gram": list(g), "count": c}
-                for g, c in lyr.ngram_counts(doc, n).top(report.NGRAM_TOP_K)
-            ]
-            for n in (2, 3)
-        },
-    }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    result = report.analyze_lyrics(args.lyrics, classifier)
+    out = {k: result[k] for k in ("line_count", "sentiment", "ngrams")}
+    print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -109,8 +93,7 @@ def cmd_compare(args) -> int:
             kind = kind.strip()
             report.emit_plot_data(result, kind, out_dir / f"{args.artist}_{kind}.csv")
     if not args.out:
-        json.dump(result, sys.stdout, indent=1, sort_keys=True)
-        print()
+        print(json.dumps(result, indent=1, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

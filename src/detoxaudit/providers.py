@@ -4,8 +4,8 @@ Three services are wrapped: sentiment classification, text embedding, and
 LLM lyric rewriting. All speak the same minimal protocol: POST
 ``{"input": <text>}``; responses are ``{"label", "score"}``,
 ``{"vector": [...]}`` and ``{"text": "..."}`` respectively. Each client
-retries transient failures with exponential backoff and caches responses
-keyed by (provider, model, input hash).
+retries transient failures with exponential backoff and caches the
+responses that meet its contract, keyed by (provider, model, input hash).
 """
 
 from __future__ import annotations
@@ -91,17 +91,23 @@ class _HttpProvider:
         d.mkdir(parents=True, exist_ok=True)
         return d / f"{key}.json"
 
-    def _cached(self, key: str):
+    def _cached(self, key: str, parse):
+        """parse() of the cached payload for key; None on a miss or a file parse rejects."""
         with self._lock:
-            if key in self._mem_cache:
-                return self._mem_cache[key]
+            payload = self._mem_cache.get(key)
+        if payload is not None:
+            return parse(payload)
         path = self._cache_path(key)
-        if path is not None and path.exists():
-            payload = json.loads(path.read_text("utf-8"))
-            with self._lock:
-                self._mem_cache[key] = payload
-            return payload
-        return None
+        if path is None or not path.exists():
+            return None
+        payload = json.loads(path.read_text("utf-8"))
+        try:
+            value = parse(payload)
+        except ProviderError:
+            return None  # e.g. a file cached before payloads were checked: fetch it again
+        with self._lock:
+            self._mem_cache[key] = payload
+        return value
 
     def _store(self, key: str, payload):
         with self._lock:
@@ -112,12 +118,17 @@ class _HttpProvider:
             tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
             tmp.replace(path)
 
-    def _request(self, text: str) -> dict:
-        """POST with retries; returns the parsed JSON response."""
+    def _request(self, text: str, parse):
+        """POST with retries; returns parse(payload) of the JSON response.
+
+        parse checks a payload against the service contract and raises
+        ProviderError when it does not hold. A payload is cached only after
+        parse accepts it, and parse runs again on every cache hit.
+        """
         if not text:
             raise ValueError("empty text")
         key = _cache_key(self.name, self.cfg.model, text)
-        cached = self._cached(key)
+        cached = self._cached(key, parse)
         if cached is not None:
             return cached
         headers = {}
@@ -148,8 +159,9 @@ class _HttpProvider:
                 continue
             except (requests.RequestException, ValueError) as exc:
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
+            value = parse(payload)
             self._store(key, payload)
-            return payload
+            return value
         raise ProviderError(
             f"{self.name}: giving up after {self.cfg.max_retries + 1} attempts: {last_error}"
         )
@@ -159,7 +171,10 @@ class SentimentClient(_HttpProvider):
     name = "sentiment"
 
     def classify(self, text: str) -> tuple:
-        payload = self._request(text)
+        return self._request(text, self._parse)
+
+    @staticmethod
+    def _parse(payload) -> tuple:
         try:
             label = payload["label"]
             score = float(payload["score"])
@@ -178,7 +193,9 @@ class EmbeddingClient(_HttpProvider):
         self.unit_normalize = unit_normalize
 
     def embed(self, text: str) -> np.ndarray:
-        payload = self._request(text)
+        return self._request(text, self._parse)
+
+    def _parse(self, payload) -> np.ndarray:
         try:
             vec = np.asarray(payload["vector"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
@@ -194,11 +211,15 @@ class RewriteClient(_HttpProvider):
     name = "rewrite"
 
     def rewrite(self, req: RewriteRequest) -> str:
-        payload = self._request(req.prompt())
+        text = self._request(req.prompt(), self._parse)
+        _check_length_contract(req.lyrics, text)
+        return text
+
+    @staticmethod
+    def _parse(payload) -> str:
         text = payload.get("text") if isinstance(payload, dict) else None
         if not text:
             raise ProviderError(f"rewrite: empty or refused response {payload!r}")
-        _check_length_contract(req.lyrics, text)
         return text
 
 

@@ -55,32 +55,47 @@ def _decimate(arr: np.ndarray, limit: int) -> np.ndarray:
     return arr[::stride]
 
 
-def _analyze_audio_track(bundle: TrackBundle, cfg: PreprocessConfig) -> dict:
+def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
+    """Load, preprocess and measure one vocal stem; returns (buffer, result).
+
+    result holds "voice", "rms" and, given a sidecar, per-section RMS "sections".
+    """
     try:
-        raw = load_track(bundle.vocal_stem)
+        raw = load_track(stem)
     except Exception as exc:
         raise StageError("stage 2 (audio load)", str(exc)) from exc
     try:
         buf = preprocess(raw, cfg)
     except Exception as exc:
         raise StageError("stage 3 (preprocessing)", str(exc)) from exc
-
+    if not len(buf.samples):
+        raise StageError("stage 3 (preprocessing)", f"no samples left in {stem}")
     try:
         metrics = voice_report(buf)
+    except Exception as exc:
+        raise StageError("stage 5 (voice metrics)", str(exc)) from exc
+    result = {"voice": metrics.as_dict(), "rms": dict(metrics.rms)}
+    if sections:
+        result["sections"] = [
+            {"label": label, "rms": rms_stats(frame_rms(piece)) if len(piece.samples) else None}
+            for label, piece in slice_sections(buf, load_section_map(sections))
+        ]
+    return buf, result
+
+
+def _plot_data(buf: AudioBuffer) -> dict:
+    """Decimated waveform (RMS envelope) and spectrogram payloads of one buffer."""
+    try:
         series = frame_rms(buf)
         spec = stft(buf)
     except Exception as exc:
         raise StageError("stage 5 (voice metrics)", str(exc)) from exc
-
     mags_db = spec.to_db()
     freqs = spec.frequencies
     fmask = freqs <= SPECTROGRAM_FMAX
     t_idx = _decimate(np.arange(mags_db.shape[0]), MAX_PLOT_FRAMES)
     f_idx = _decimate(np.flatnonzero(fmask), MAX_PLOT_BINS)
-
-    result = {
-        "voice": metrics.as_dict(),
-        "rms": rms_stats(series),
+    return {
         "waveform": {
             "times": _decimate(series.frame_times, MAX_PLOT_FRAMES).tolist(),
             "rms": _decimate(series.values, MAX_PLOT_FRAMES).tolist(),
@@ -91,19 +106,18 @@ def _analyze_audio_track(bundle: TrackBundle, cfg: PreprocessConfig) -> dict:
             "db": np.round(mags_db[np.ix_(t_idx, f_idx)], 2).tolist(),
         },
     }
-    if bundle.sections:
-        section_map = load_section_map(bundle.sections)
-        per_section = []
-        for label, piece in slice_sections(buf, section_map):
-            stats = rms_stats(frame_rms(piece)) if len(piece.samples) else None
-            per_section.append({"label": label, "rms": stats})
-        result["sections"] = per_section
-    return result
 
 
-def _analyze_lyrics_track(bundle: TrackBundle, classifier) -> dict:
+def _audio_side(bundle: TrackBundle, cfg: PreprocessConfig) -> dict:
+    # the preprocessed buffer is dropped on return, before the next track loads
+    buf, result = analyze_audio(bundle.vocal_stem, cfg, bundle.sections)
+    return {**result, **_plot_data(buf)}
+
+
+def analyze_lyrics(path, classifier) -> dict:
+    """Parse and score one lyric file: line count, sentiment table, top n-grams."""
     try:
-        text = Path(bundle.lyrics).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StageError("stage 1 (lyric collection)", str(exc)) from exc
     doc = lyr.parse_lyrics(text)
@@ -182,8 +196,8 @@ def run_pipeline(
     transformed.validate()
 
     bundles = {"original": original, "transformed": transformed}
-    audio = {side: _analyze_audio_track(b, cfg) for side, b in bundles.items()}
-    lyric = {side: _analyze_lyrics_track(b, classifier) for side, b in bundles.items()}
+    audio = {side: _audio_side(b, cfg) for side, b in bundles.items()}
+    lyric = {side: analyze_lyrics(b.lyrics, classifier) for side, b in bundles.items()}
 
     try:
         sims = lyr.line_similarity(
@@ -236,7 +250,7 @@ def write_report(report: dict, path):
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
+            json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

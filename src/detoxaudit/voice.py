@@ -217,10 +217,12 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
         boundaries = [crossings[0]]
         pos = crossings[0]
         while True:
-            lo, hi = pos + 0.7 * period, pos + 1.35 * period
-            window = crossings[(crossings >= lo) & (crossings <= hi)]
-            if len(window) == 0:
+            # crossings rise strictly, so the candidates are one contiguous slice
+            lo = np.searchsorted(crossings, pos + 0.7 * period, side="left")
+            hi = np.searchsorted(crossings, pos + 1.35 * period, side="right")
+            if lo == hi:
                 break
+            window = crossings[lo:hi]
             nxt = window[np.argmin(np.abs(window - (pos + period)))]
             boundaries.append(nxt)
             pos = nxt

@@ -54,6 +54,14 @@ class TestLoadTrack:
         assert buf.samples.max() == pytest.approx(1.0, abs=1e-4)
         assert buf.samples.min() == -1.0
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        samples = make_tone(220, 0.5)
+        samples[100] = bad
+        path = write_wav(tmp_path / "bad.wav", samples)
+        with pytest.raises(AudioLoadError, match="non-finite.*bad.wav"):
+            load_track(path)
+
 
 class TestResample:
     def test_two_to_one_ratio_halves_length(self):

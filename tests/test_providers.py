@@ -139,6 +139,28 @@ class TestSentimentClient:
         SentimentClient(cfg).classify("hello")
         assert server.requests_seen == 1
 
+    def test_out_of_contract_response_never_cached(self, mock_provider, tmp_path):
+        server = mock_provider({"label": "MAYBE", "score": 0.5})
+        cache = tmp_path / "cache"
+        client = SentimentClient(fast_cfg(server.url, cache_dir=str(cache)))
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="out-of-contract"):
+                client.classify("hello")
+        assert server.requests_seen == 2
+        assert list(cache.iterdir()) == []
+
+    def test_rejected_cache_file_fetched_again(self, mock_provider, tmp_path):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        cfg = fast_cfg(server.url, cache_dir=str(tmp_path / "cache"))
+        SentimentClient(cfg).classify("hello")
+        (cached,) = (tmp_path / "cache").iterdir()
+        cached.write_text(json.dumps({"label": "MAYBE", "score": 0.5}))
+        client = SentimentClient(cfg)
+        assert client.classify("hello") == ("POSITIVE", 0.9)
+        assert client.classify("hello") == ("POSITIVE", 0.9)
+        assert server.requests_seen == 2
+        assert json.loads(cached.read_text())["label"] == "POSITIVE"
+
 
 class TestEmbeddingClient:
     def test_unit_normalization(self, mock_provider):

@@ -16,6 +16,7 @@ from detoxaudit import (
 )
 from detoxaudit.cli import main
 from detoxaudit.report import PLOT_KINDS, StageError
+from conftest import make_harmonic, write_wav
 
 
 def bundles(fixture_pair, with_sections=False):
@@ -192,6 +193,46 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["line_count"] == 5
+
+    def test_analyze_audio_sections_match_compare(self, fixture_pair, capsys):
+        code = main([
+            "analyze-audio", str(fixture_pair["orig_stem"]),
+            "--sections", str(fixture_pair["sections"]),
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        audio = json.loads(json.dumps(run_offline(fixture_pair, with_sections=True)))[
+            "original"]["audio"]
+        assert out.pop("sections") == audio["sections"]
+        assert out == audio["voice"]
+
+    def test_analyze_lyrics_matches_compare(self, fixture_pair, capsys):
+        code = main(["analyze-lyrics", str(fixture_pair["orig_lyrics"]), "--offline"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        lyrics = json.loads(json.dumps(run_offline(fixture_pair)))["original"]["lyrics"]
+        assert out == {k: lyrics[k] for k in ("line_count", "sentiment", "ngrams")}
+
+    def test_analyze_audio_nan_sample_exit_code_1(self, tmp_path, capsys):
+        samples = make_harmonic(220)
+        samples[1000] = np.nan
+        path = write_wav(tmp_path / "nan.wav", samples)
+        assert main(["analyze-audio", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stage 2 (audio load)" in captured.err and "non-finite" in captured.err
+
+    def test_empty_preprocessed_stem_exit_code_1(self, tmp_path, voiced_wav, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"max_duration": 0.0}))
+        assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
+        assert "stage 3 (preprocessing)" in capsys.readouterr().err
+
+    def test_unknown_config_key_exit_code_1(self, tmp_path, voiced_wav, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"target_rte": 16000}))
+        assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
+        assert "target_rte" in capsys.readouterr().err
 
     def test_compare_offline_with_emit(self, fixture_pair, capsys):
         out_path = fixture_pair["tmp_path"] / "report.json"

@@ -3,7 +3,8 @@
 The loops in voice_loops.py are the reference. Values must agree to rel
 1e-9 (abs 1e-12 floor) and voicing decisions exactly, on random
 harmonic-plus-noise buffers with leading and trailing silence, at frame
-counts of 1, one chunk and one chunk plus one.
+counts of 1, one chunk and one chunk plus one. The period walk must equal
+its loop exactly.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voice_loops
-from detoxaudit import PitchConfig, PitchTrack, cpp, estimate_f0, hnr
+from detoxaudit import PitchConfig, PitchTrack, cpp, estimate_f0, extract_periods, hnr
 from detoxaudit.voice import CHUNK_FRAMES
 from conftest import SR, buffer
 
@@ -118,3 +119,26 @@ def test_cpp_matches_loop(n_frames, baseline, data):
     extra = data.draw(st.integers(0, CPP_HOP - 1))
     buf = data.draw(voices(CPP_FRAME + CPP_HOP * (n_frames - 1) + extra))
     assert_same_metric(cpp(buf, baseline=baseline), voice_loops.cpp(buf, baseline=baseline))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_extract_periods_matches_loop(data):
+    """Random voiced runs with f0 guesses from 60 to 500 Hz, whatever the
+    voice's own f0, so that cycle windows hold zero, one or several crossings."""
+    buf = data.draw(voices(data.draw(st.integers(SR // 4, 2 * SR))))
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**31 - 1)))
+    n_track = 1 + (len(buf.samples) - F0_FRAME) // F0_HOP
+    run = data.draw(st.integers(1, 40))  # voicing decided per run of frames
+    voiced = np.repeat(rng.uniform(size=n_track) < data.draw(st.floats(0.1, 1.0)), run)[:n_track]
+    f0 = np.where(voiced, np.exp(rng.uniform(np.log(60.0), np.log(500.0), n_track)), np.nan)
+    track = PitchTrack(np.arange(n_track) * F0_HOP / SR, f0, voiced, voiced.astype(float))
+    try:
+        want = voice_loops.extract_periods(buf, track)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            extract_periods(buf, track)
+        return
+    got = extract_periods(buf, track)
+    np.testing.assert_array_equal(got.periods, want.periods)
+    np.testing.assert_array_equal(got.amplitudes, want.amplitudes)

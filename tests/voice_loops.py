@@ -3,12 +3,20 @@
 These are the original, unbatched definitions (Boersma 1993 autocorrelation
 f0 and HNR; Hillenbrand et al. 1994 CPP with a regression baseline). The
 batched kernels in detoxaudit.voice must reproduce them to floating-point
-round-off.
+round-off. extract_periods is the original period walk, which filters every
+crossing of a voiced run once per cycle; the library's walk must reproduce
+it exactly.
 """
 
 import numpy as np
 
-from detoxaudit.voice import HNR_CAP_DB, PitchConfig, PitchTrack
+from detoxaudit.voice import (
+    HNR_CAP_DB,
+    PeriodSequence,
+    PitchConfig,
+    PitchTrack,
+    _rising_crossings,
+)
 
 
 def _parabolic_interp(y, i):
@@ -79,6 +87,48 @@ def estimate_f0(buf, cfg=None):
             conf[k] = min(max(peak_val, 0.0), 1.0)
 
     return PitchTrack(times, f0, voiced, conf)
+
+
+def extract_periods(buf, track):
+    if int(np.sum(track.voiced_flags)) < 2:
+        raise ValueError("insufficient voicing")
+    sr = buf.sample_rate
+    x = buf.samples
+    hop = float(np.median(np.diff(track.frame_times))) if len(track.frame_times) > 1 else 0.01
+
+    periods = []
+    amplitudes = []
+    v = track.voiced_flags
+    starts = np.flatnonzero(v & ~np.r_[False, v[:-1]])
+    ends = np.flatnonzero(v & ~np.r_[v[1:], False])
+    for s, e in zip(starts, ends):
+        f0_local = float(np.nanmedian(track.f0[s : e + 1]))
+        period = sr / f0_local
+        i0 = int(track.frame_times[s] * sr)
+        i1 = min(int((track.frame_times[e] + hop) * sr) + 1, len(x))
+        if i1 - i0 < 2 * period:
+            continue
+        crossings = _rising_crossings(x, i0, i1)
+        if len(crossings) < 2:
+            continue
+        boundaries = [crossings[0]]
+        pos = crossings[0]
+        while True:
+            lo, hi = pos + 0.7 * period, pos + 1.35 * period
+            window = crossings[(crossings >= lo) & (crossings <= hi)]
+            if len(window) == 0:
+                break
+            nxt = window[np.argmin(np.abs(window - (pos + period)))]
+            boundaries.append(nxt)
+            pos = nxt
+        for a, b in zip(boundaries[:-1], boundaries[1:]):
+            periods.append((b - a) / sr)
+            cyc = x[int(np.floor(a)) : int(np.ceil(b))]
+            amplitudes.append(float(cyc.max() - cyc.min()))
+
+    if len(periods) < 2:
+        raise ValueError("insufficient voicing")
+    return PeriodSequence(np.asarray(periods), np.asarray(amplitudes))
 
 
 def hnr(buf, track, frame_length=4096, harmonic_halfwidth_bins=2.0):
