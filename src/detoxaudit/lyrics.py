@@ -193,6 +193,8 @@ def line_similarity(
     for i, (a, b) in enumerate(zip(orig.lines[:n], trans.lines[:n])):
         va = np.asarray(embedder.embed(a), dtype=float)
         vb = np.asarray(embedder.embed(b), dtype=float)
+        if not (np.isfinite(va).all() and np.isfinite(vb).all()):
+            raise ValueError(f"non-finite embedding for line pair {i}")
         denom = np.linalg.norm(va) * np.linalg.norm(vb)
         sims[i] = float(va @ vb / denom) if denom > 0 else 0.0
     unpaired = max(len(orig), len(trans)) - n

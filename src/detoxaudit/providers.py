@@ -5,7 +5,8 @@ LLM lyric rewriting. All speak the same minimal protocol: POST
 ``{"input": <text>}``; responses are ``{"label", "score"}``,
 ``{"vector": [...]}`` and ``{"text": "..."}`` respectively. Each client
 retries transient failures with exponential backoff and caches the
-responses that meet its contract, keyed by (provider, model, input hash).
+responses that meet its contract on disk, keyed by (provider, model, input
+hash). All but the stub rewriter memoize their results by input text.
 """
 
 from __future__ import annotations
@@ -73,16 +74,41 @@ def _cache_key(provider: str, model: str, text: str) -> str:
     return digest
 
 
-class _HttpProvider:
-    """Shared retry / backoff / cache machinery for the HTTP clients."""
+class _Provider:
+    """One memo per provider instance, keyed by the input text, behind one lock."""
+
+    def __init__(self):
+        self._memo = {}
+        self._lock = threading.Lock()
+
+    def _memoized(self, text: str, compute):
+        """The memoized result for text, or compute(text), stored for the next call."""
+        if not text:
+            raise ValueError("empty text")
+        with self._lock:
+            if text in self._memo:
+                return self._memo[text]
+        value = compute(text)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # a caller must not change what later calls return
+        with self._lock:
+            self._memo[text] = value
+        return value
+
+
+class _HttpProvider(_Provider):
+    """Shared retry / backoff / disk cache machinery for the HTTP clients.
+
+    Each subclass defines ``_parse``, which checks a payload against the
+    service contract and raises ProviderError when it does not hold.
+    """
 
     name = "provider"
 
     def __init__(self, cfg: ProviderConfig):
+        super().__init__()
         self.cfg = cfg
         self.last_retries = 0
-        self._mem_cache = {}
-        self._lock = threading.Lock()
 
     def _cache_path(self, key: str) -> Path | None:
         if not self.cfg.cache_dir:
@@ -91,46 +117,18 @@ class _HttpProvider:
         d.mkdir(parents=True, exist_ok=True)
         return d / f"{key}.json"
 
-    def _cached(self, key: str, parse):
-        """parse() of the cached payload for key; None on a miss or a file parse rejects."""
-        with self._lock:
-            payload = self._mem_cache.get(key)
-        if payload is not None:
-            return parse(payload)
-        path = self._cache_path(key)
-        if path is None or not path.exists():
-            return None
-        payload = json.loads(path.read_text("utf-8"))
-        try:
-            value = parse(payload)
-        except ProviderError:
-            return None  # e.g. a file cached before payloads were checked: fetch it again
-        with self._lock:
-            self._mem_cache[key] = payload
-        return value
+    def _request(self, text: str):
+        """_parse of the disk-cached payload for text, or POST with retries.
 
-    def _store(self, key: str, payload):
-        with self._lock:
-            self._mem_cache[key] = payload
-        path = self._cache_path(key)
-        if path is not None:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
-            tmp.replace(path)
-
-    def _request(self, text: str, parse):
-        """POST with retries; returns parse(payload) of the JSON response.
-
-        parse checks a payload against the service contract and raises
-        ProviderError when it does not hold. A payload is cached only after
-        parse accepts it, and parse runs again on every cache hit.
+        A payload is written to disk only after _parse accepts it, and _parse
+        runs again on every disk read.
         """
-        if not text:
-            raise ValueError("empty text")
-        key = _cache_key(self.name, self.cfg.model, text)
-        cached = self._cached(key, parse)
-        if cached is not None:
-            return cached
+        path = self._cache_path(_cache_key(self.name, self.cfg.model, text))
+        if path is not None and path.exists():
+            try:
+                return self._parse(json.loads(path.read_text("utf-8")))
+            except (ProviderError, ValueError):
+                pass  # a file that does not decode or breaks the contract: fetch it again
         headers = {}
         if self.cfg.auth_token:
             headers["Authorization"] = f"Bearer {self.cfg.auth_token}"
@@ -159,8 +157,11 @@ class _HttpProvider:
                 continue
             except (requests.RequestException, ValueError) as exc:
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
-            value = parse(payload)
-            self._store(key, payload)
+            value = self._parse(payload)
+            if path is not None:
+                tmp = path.with_suffix(".tmp")
+                tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+                tmp.replace(path)
             return value
         raise ProviderError(
             f"{self.name}: giving up after {self.cfg.max_retries + 1} attempts: {last_error}"
@@ -171,7 +172,7 @@ class SentimentClient(_HttpProvider):
     name = "sentiment"
 
     def classify(self, text: str) -> tuple:
-        return self._request(text, self._parse)
+        return self._memoized(text, self._request)
 
     @staticmethod
     def _parse(payload) -> tuple:
@@ -193,13 +194,15 @@ class EmbeddingClient(_HttpProvider):
         self.unit_normalize = unit_normalize
 
     def embed(self, text: str) -> np.ndarray:
-        return self._request(text, self._parse)
+        return self._memoized(text, self._request)
 
     def _parse(self, payload) -> np.ndarray:
         try:
             vec = np.asarray(payload["vector"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"embedding: malformed response {payload!r}") from exc
+        if vec.ndim != 1 or vec.size == 0 or not np.isfinite(vec).all():
+            raise ProviderError(f"embedding: out-of-contract response {payload!r}")
         if self.unit_normalize:
             norm = np.linalg.norm(vec)
             if norm > 0:
@@ -211,7 +214,7 @@ class RewriteClient(_HttpProvider):
     name = "rewrite"
 
     def rewrite(self, req: RewriteRequest) -> str:
-        text = self._request(req.prompt(), self._parse)
+        text = self._memoized(req.prompt(), self._request)
         _check_length_contract(req.lyrics, text)
         return text
 
@@ -245,53 +248,44 @@ def _load_lexicon() -> dict:
     return lexicon
 
 
-class StubSentimentClassifier:
+class StubSentimentClassifier(_Provider):
     """Offline deterministic classifier backed by the bundled lexicon.
 
     Any lexicon hit scores NEGATIVE 0.99; everything else POSITIVE 0.9.
+    call_count counts the texts scored, not the memo hits.
     """
 
     def __init__(self):
+        super().__init__()
         self._lexicon = _load_lexicon()
         self.call_count = 0
-        self._cache = {}
-        self._lock = threading.Lock()
 
     def classify(self, text: str) -> tuple:
-        if not text:
-            raise ValueError("empty text")
-        with self._lock:
-            if text in self._cache:
-                return self._cache[text]
+        return self._memoized(text, self._score)
+
+    def _score(self, text: str) -> tuple:
         words = {w.strip(".,!?\"()") for w in text.lower().split()}
         hit = bool(words & self._lexicon.keys())
-        result = ("NEGATIVE", 0.99) if hit else ("POSITIVE", 0.9)
         with self._lock:
             self.call_count += 1
-            self._cache[text] = result
-        return result
+        return ("NEGATIVE", 0.99) if hit else ("POSITIVE", 0.9)
 
 
-class StubEmbedder:
+class StubEmbedder(_Provider):
     """Deterministic pseudo-random unit vectors seeded by the input hash."""
 
     def __init__(self, dimension: int = 768):
+        super().__init__()
         self.dimension = dimension
-        self._cache = {}
-        self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise ValueError("empty text")
-        with self._lock:
-            if text in self._cache:
-                return self._cache[text]
+        return self._memoized(text, self._vector)
+
+    def _vector(self, text: str) -> np.ndarray:
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4], "big")
         rng = np.random.RandomState(seed)
         vec = rng.standard_normal(self.dimension)
         vec /= np.linalg.norm(vec)
-        with self._lock:
-            self._cache[text] = vec
         return vec
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from detoxaudit import (
@@ -226,6 +228,30 @@ class TestPreprocess:
         a = preprocess(buffer(sig))
         b = preprocess(buffer(sig))
         assert np.array_equal(a.samples, b.samples)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        rate=st.sampled_from([8000, 16000, 22050, 44100, 48000]),
+        seconds=st.floats(0.0, 1.5),
+        scale=st.floats(0.0, 1e6),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**31 - 1),
+        denoise=st.booleans(),
+    )
+    def test_output_finite_with_unit_peak_or_silent(
+        self, rate, seconds, scale, offset, seed, denoise
+    ):
+        n = int(seconds * rate)
+        samples = scale * np.random.RandomState(seed).standard_normal(n) + offset
+        cfg = PreprocessConfig(denoise=denoise)
+        try:
+            out = preprocess(buffer(samples, sr=rate), cfg)
+        except ValueError:
+            # only a buffer too short for the order-4 sosfiltfilt (15 samples or fewer) may fail
+            assert n * cfg.target_rate / rate <= 15
+            return
+        assert np.isfinite(out.samples).all()
+        assert out.silent or np.abs(out.samples).max() == 1.0
 
 
 def test_truncate_keeps_head():

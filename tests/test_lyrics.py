@@ -228,6 +228,15 @@ class TestLineSimilarity:
         with pytest.raises(ValueError):
             line_similarity(doc, parse_lyrics(""), StubEmbedder())
 
+    def test_non_finite_embedding_rejected(self):
+        class NaNEmbedder:
+            def embed(self, text):
+                return np.array([np.nan, 1.0])
+
+        doc = parse_lyrics("[Verse]\nline one")
+        with pytest.raises(ValueError, match="non-finite"):
+            line_similarity(doc, doc, NaNEmbedder())
+
 
 class TestRollingMean:
     def test_constant_series(self):

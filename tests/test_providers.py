@@ -1,10 +1,13 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detoxaudit import (
     EmbeddingClient,
@@ -161,6 +164,17 @@ class TestSentimentClient:
         assert server.requests_seen == 2
         assert json.loads(cached.read_text())["label"] == "POSITIVE"
 
+    def test_undecodable_cache_file_fetched_again(self, mock_provider, tmp_path):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        cfg = fast_cfg(server.url, cache_dir=str(tmp_path / "cache"))
+        SentimentClient(cfg).classify("hello")
+        (cached,) = (tmp_path / "cache").iterdir()
+        cached.write_text("{")
+        client = SentimentClient(cfg)
+        assert client.classify("hello") == ("POSITIVE", 0.9)
+        assert server.requests_seen == 2
+        assert json.loads(cached.read_text()) == {"label": "POSITIVE", "score": 0.9}
+
 
 class TestEmbeddingClient:
     def test_unit_normalization(self, mock_provider):
@@ -179,6 +193,27 @@ class TestEmbeddingClient:
         client = EmbeddingClient(fast_cfg(server.url))
         assert np.array_equal(client.embed("same"), client.embed("same"))
         assert server.requests_seen == 1
+
+    @pytest.mark.parametrize(
+        "vector", [[float("nan"), 1.0], [1.0, float("inf")], [], [[1.0, 2.0], [3.0, 4.0]], 1.0]
+    )
+    def test_out_of_contract_vector_never_cached(self, mock_provider, tmp_path, vector):
+        server = mock_provider({"vector": vector})
+        cache = tmp_path / "cache"
+        client = EmbeddingClient(fast_cfg(server.url, cache_dir=str(cache)))
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="out-of-contract"):
+                client.embed("text")
+        assert server.requests_seen == 2
+        assert list(cache.iterdir()) == []
+
+    def test_returned_vector_is_read_only(self, mock_provider):
+        server = mock_provider({"vector": [3.0, 4.0]})
+        client = EmbeddingClient(fast_cfg(server.url))
+        vec = client.embed("text")
+        with pytest.raises(ValueError):
+            vec *= 0
+        assert client.embed("text").tolist() == [0.6, 0.8]
 
 
 class TestRewriteClient:
@@ -232,6 +267,13 @@ class TestStubs:
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
         assert v1.shape == (768,)
 
+    def test_stub_embedder_memo_cannot_be_changed_through_result(self):
+        emb = StubEmbedder()
+        vec = emb.embed("hello")
+        with pytest.raises(ValueError):
+            vec *= 0
+        assert np.linalg.norm(emb.embed("hello")) == pytest.approx(1.0, abs=1e-9)
+
     def test_stub_embedder_distinct_texts_differ(self):
         emb = StubEmbedder()
         assert abs(float(emb.embed("aaa") @ emb.embed("bbb"))) < 0.5
@@ -243,6 +285,46 @@ class TestStubs:
     def test_stub_rewriter_deterministic(self):
         req = RewriteRequest("kill the gun violence")
         assert StubRewriter().rewrite(req) == StubRewriter().rewrite(req)
+
+
+@st.composite
+def texts_with_repeats(draw):
+    pool = draw(st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=24))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(texts=texts_with_repeats())
+def test_memoized_stubs_match_fresh_instances(texts):
+    classifier, embedder = StubSentimentClassifier(), StubEmbedder(dimension=16)
+    for text in texts:
+        assert classifier.classify(text) == StubSentimentClassifier().classify(text)
+        assert np.array_equal(embedder.embed(text), StubEmbedder(dimension=16).embed(text))
+    assert classifier.call_count == len(set(texts))
+
+
+def test_memo_counts_every_text_under_threads():
+    classifier = StubSentimentClassifier()
+    texts = [f"line {i}" for i in range(1600)]
+
+    def classify_all(part):
+        for text in part:
+            classifier.classify(text)
+
+    workers = [threading.Thread(target=classify_all, args=(texts[k::8],)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert classifier.call_count == len(texts)
+    assert all(classifier.classify(t) == ("POSITIVE", 0.9) for t in texts)
+    assert classifier.call_count == len(texts)
 
 
 class TestProviderConfig:
