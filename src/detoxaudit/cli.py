@@ -75,6 +75,10 @@ def cmd_analyze_lyrics(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    kinds = [kind.strip() for kind in args.emit.split(",")] if args.emit else []
+    for kind in kinds:
+        if kind not in report.PLOT_KINDS:
+            raise ValueError(f"unknown plot kind: {kind!r}")
     cfg = _preprocess_cfg(args)
     classifier, embedder = _providers(args)
     original = report.TrackBundle(
@@ -87,13 +91,11 @@ def cmd_compare(args) -> int:
         original, transformed, cfg, classifier=classifier, embedder=embedder,
         out_path=args.out,
     )
-    if args.emit:
-        out_dir = Path(args.out).parent if args.out else Path(".")
-        for kind in args.emit.split(","):
-            kind = kind.strip()
-            report.emit_plot_data(result, kind, out_dir / f"{args.artist}_{kind}.csv")
+    out_dir = Path(args.out).parent if args.out else Path(".")
+    for kind in kinds:
+        report.emit_plot_data(result, kind, out_dir / f"{args.artist}_{kind}.csv")
     if not args.out:
-        print(json.dumps(result, indent=1, sort_keys=True, allow_nan=False))
+        print(report.report_json(result))
     return EXIT_OK
 
 

@@ -195,8 +195,10 @@ def line_similarity(
         vb = np.asarray(embedder.embed(b), dtype=float)
         if not (np.isfinite(va).all() and np.isfinite(vb).all()):
             raise ValueError(f"non-finite embedding for line pair {i}")
-        denom = np.linalg.norm(va) * np.linalg.norm(vb)
-        sims[i] = float(va @ vb / denom) if denom > 0 else 0.0
+        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+        if na == 0 or nb == 0:
+            raise ValueError(f"zero-norm embedding for line pair {i}")
+        sims[i] = float(va @ vb / (na * nb))
     unpaired = max(len(orig), len(trans)) - n
     return SimilaritySeries(sims, window=window, unpaired=unpaired)
 

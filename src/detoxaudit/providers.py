@@ -203,11 +203,10 @@ class EmbeddingClient(_HttpProvider):
             raise ProviderError(f"embedding: malformed response {payload!r}") from exc
         if vec.ndim != 1 or vec.size == 0 or not np.isfinite(vec).all():
             raise ProviderError(f"embedding: out-of-contract response {payload!r}")
-        if self.unit_normalize:
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-        return vec
+        norm = np.linalg.norm(vec)
+        if norm == 0:  # no direction, so no cosine to score
+            raise ProviderError(f"embedding: out-of-contract zero-norm vector {payload!r}")
+        return vec / norm if self.unit_normalize else vec
 
 
 class RewriteClient(_HttpProvider):

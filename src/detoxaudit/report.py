@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -243,6 +244,31 @@ def run_pipeline(
     return report
 
 
+def report_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)``, byte for byte.
+
+    Lists of finite plain floats, the bulk of a report, are joined in one
+    call; every other leaf goes through ``json``. Keys must be ``str``.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, pad: str) -> str:
+    inner = pad + " "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError(f"report keys must be str: {list(obj)!r}")
+        items = (json.dumps(k) + ": " + _json(obj[k], inner) for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:  # json raises its own ValueError for a non-finite float
+            items = (_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj, allow_nan=False)
+
+
 def write_report(report: dict, path):
     """Atomic JSON write: temp file in the target directory, then rename."""
     path = Path(path)
@@ -250,8 +276,7 @@ def write_report(report: dict, path):
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+            fh.write(report_json(report) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -263,11 +288,13 @@ def load_report(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _write_csv(out_path: Path, header: list, lines: list):
+    """Write the header, then the rendered lines, each of which starts with a newline."""
+    out_path.write_text(",".join(header) + "".join(lines) + "\n", encoding="utf-8")
+
+
 def _csv_rows(rows: list, header: list, out_path: Path):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_path, header, ["\n" + ",".join(map(str, row)) for row in rows])
 
 
 def emit_plot_data(report: dict, kind: str, out_path):
@@ -278,19 +305,22 @@ def emit_plot_data(report: dict, kind: str, out_path):
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if kind == "waveform":
-        rows = []
+        lines = []
         for side in ("original", "transformed"):
             wf = report[side]["audio"]["waveform"]
-            rows += [[side, t, v] for t, v in zip(wf["times"], wf["rms"])]
-        _csv_rows(rows, ["track", "time_sec", "rms"], out_path)
+            lines += [f"\n{side},{t},{v}" for t, v in zip(wf["times"], wf["rms"])]
+        _write_csv(out_path, ["track", "time_sec", "rms"], lines)
     elif kind == "spectrogram":
-        rows = []
+        # each frequency is rendered once per side, each time once per frame,
+        # and each frame's bins are joined into one string
+        lines = []
         for side in ("original", "transformed"):
             sg = report[side]["audio"]["spectrogram"]
-            for i, t in enumerate(sg["times"]):
-                for j, f in enumerate(sg["frequencies"]):
-                    rows.append([side, t, f, sg["db"][i][j]])
-        _csv_rows(rows, ["track", "time_sec", "freq_hz", "db"], out_path)
+            freqs = [f"{f}," for f in sg["frequencies"]]
+            for t, row in zip(sg["times"], sg["db"]):
+                prefix = f"\n{side},{t},"
+                lines.append("".join([prefix + f + str(v) for f, v in zip(freqs, row)]))
+        _write_csv(out_path, ["track", "time_sec", "freq_hz", "db"], lines)
     elif kind == "ngram":
         rows = []
         for side in ("original", "transformed"):

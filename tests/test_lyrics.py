@@ -237,6 +237,15 @@ class TestLineSimilarity:
         with pytest.raises(ValueError, match="non-finite"):
             line_similarity(doc, doc, NaNEmbedder())
 
+    def test_zero_embedding_rejected(self):
+        class ZeroEmbedder:
+            def embed(self, text):
+                return np.zeros(3) if "two" in text else np.ones(3)
+
+        doc = parse_lyrics("[Verse]\nline one\nline two")
+        with pytest.raises(ValueError, match="zero-norm embedding for line pair 1"):
+            line_similarity(doc, doc, ZeroEmbedder())
+
 
 class TestRollingMean:
     def test_constant_series(self):

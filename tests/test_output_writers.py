@@ -1,0 +1,220 @@
+"""The report JSON encoder and the plot-data CSV writers against their references.
+
+report_json must equal json.dumps(sort_keys=True, indent=1, allow_nan=False)
+byte for byte, and the waveform and spectrogram writers must equal the
+cell-by-cell oracles in csv_oracles.py.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detoxaudit import (
+    StubEmbedder,
+    StubSentimentClassifier,
+    TrackBundle,
+    emit_plot_data,
+    load_report,
+    run_pipeline,
+    write_report,
+)
+from detoxaudit.cli import main
+from detoxaudit.report import report_json
+from conftest import make_harmonic, make_noise, write_wav
+from csv_oracles import ORACLES
+
+EDGE_FLOATS = [0.0, -0.0, 1e-05, 1e16, 5e-324, -100.0, 0.1, 1.7976931348623157e308]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+keys = st.text(max_size=6) | st.sampled_from(
+    ["", "\x00", "\n\t\"\\", "é", "日本", "\U0001f600", "\ud800", "\x7f"]
+)
+scalars = st.none() | st.booleans() | st.integers() | finite_floats | keys
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4)
+        | st.lists(finite_floats, min_size=1, max_size=6)
+        | st.lists(finite_floats | st.integers(), min_size=1, max_size=6)
+    )
+
+
+json_trees = st.recursive(scalars, _containers, max_leaves=20)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _hide(children):
+    """Put a tree holding a bad leaf into a list, a float list or a dict."""
+    return (
+        st.builds(
+            lambda bad, others, i: others[:i] + [bad] + others[i:],
+            children, st.lists(json_trees, max_size=3), st.integers(0, 3),
+        )
+        | st.builds(
+            lambda bad, others, i: others[:i] + [bad] + others[i:],
+            children, st.lists(finite_floats, max_size=4), st.integers(0, 4),
+        )
+        | st.builds(
+            lambda bad, key, others: {**others, key: bad},
+            children, keys, st.dictionaries(keys, json_trees, max_size=3),
+        )
+    )
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+
+
+class TestReportJson:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(json_trees)
+    def test_equals_json_dumps(self, tree):
+        assert report_json(tree) == _dumps(tree)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.recursive(non_finite, _hide, max_leaves=4))
+    def test_non_finite_at_any_depth_raises_value_error(self, tree):
+        with pytest.raises(ValueError):
+            _dumps(tree)
+        with pytest.raises(ValueError):
+            report_json(tree)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        st.dictionaries(keys, json_trees, max_size=3),
+        st.none() | st.booleans() | st.integers() | finite_floats,
+        json_trees,
+        st.booleans(),
+    )
+    def test_non_str_key_raises_type_error(self, others, key, value, nested):
+        tree = {**others, key: value}
+        if nested:
+            tree = [{"ok": [1.0]}, {"inner": tree}]
+        with pytest.raises(TypeError):
+            report_json(tree)
+
+    def test_numpy_float_leaves_take_the_general_path(self):
+        tree = {"a": [np.float64(0.1), 2.5], "b": np.float64(-0.0)}
+        assert report_json(tree) == _dumps(tree)
+
+
+def _side_payload(draw, values):
+    n_t = draw(st.integers(0, 3))
+    n_f = draw(st.integers(1, 4))
+    n_w = draw(st.integers(0, 4))
+    times = draw(st.lists(values, min_size=n_t, max_size=n_t))
+    freqs = draw(st.lists(values, min_size=n_f, max_size=n_f))
+    db = [draw(st.lists(values, min_size=n_f, max_size=n_f)) for _ in range(n_t)]
+    return {
+        "audio": {
+            "waveform": {
+                "times": draw(st.lists(values, min_size=n_w, max_size=n_w)),
+                "rms": draw(st.lists(values, min_size=n_w, max_size=n_w)),
+            },
+            "spectrogram": {"times": times, "frequencies": freqs, "db": db},
+        }
+    }
+
+
+@st.composite
+def plot_payloads(draw):
+    """Reports holding only what the two writers read, shaped as _plot_data builds them."""
+    values = finite_floats | st.floats(-100.0, 0.0).map(lambda v: round(v, 2))
+    return {side: _side_payload(draw, values) for side in ("original", "transformed")}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(plot_payloads())
+def test_csv_writers_match_cell_by_cell_oracles(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for kind, oracle in ORACLES.items():
+            oracle(report, tmp / f"{kind}_oracle.csv")
+            emit_plot_data(report, kind, tmp / f"{kind}.csv")
+            assert (tmp / f"{kind}.csv").read_bytes() == (tmp / f"{kind}_oracle.csv").read_bytes()
+
+
+VOCAB = ["hate", "fight", "love", "light", "burn", "down", "tonight", "you", "me", "sing"]
+
+
+@st.composite
+def short_stems(draw):
+    sr = draw(st.sampled_from([16000, 22050, 44100]))
+    seconds = draw(st.floats(1.0, 2.0))
+    f0 = draw(st.floats(80.0, 500.0))
+    noise = draw(st.floats(0.0, 1.0))
+    voiced = draw(st.floats(0.0, 1.0))
+    scale = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    sig = make_harmonic(f0, seconds=seconds, sr=sr)
+    sig[int(voiced * len(sig)):] = 0.0
+    sig = scale * (sig + noise * make_noise(seconds=seconds, sr=sr, seed=draw(st.integers(0, 99))))
+    return sr, sig / max(1.0, np.abs(sig).max())
+
+
+lyric_docs = st.lists(
+    st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5).map(" ".join), min_size=1, max_size=6
+).map(lambda lines: "[Verse]\n" + "\n".join(lines) + "\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(short_stems(), short_stems(), lyric_docs, lyric_docs)
+def test_reports_from_random_short_stems_are_strict_json(orig, trans, orig_text, trans_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bundles = []
+        for name, (sr, sig), text in (("o", orig, orig_text), ("t", trans, trans_text)):
+            write_wav(tmp / f"{name}.wav", sig, sr=sr)
+            (tmp / f"{name}.txt").write_text(text, encoding="utf-8")
+            bundles.append(TrackBundle(str(tmp / f"{name}.wav"), str(tmp / f"{name}.txt"), "x"))
+        report = run_pipeline(
+            *bundles, classifier=StubSentimentClassifier(), embedder=StubEmbedder(),
+            out_path=tmp / "report.json",
+        )
+        text = (tmp / "report.json").read_text(encoding="utf-8")
+        json.loads(text, parse_constant=_reject_constant)
+        assert text == _dumps(report) + "\n"
+
+
+def test_compare_stdout_equals_out_file_and_csvs_match_oracles(fixture_pair, capsys):
+    tmp = fixture_pair["tmp_path"]
+    args = [
+        "compare",
+        "--original-stem", str(fixture_pair["orig_stem"]),
+        "--original-lyrics", str(fixture_pair["orig_lyrics"]),
+        "--transformed-stem", str(fixture_pair["trans_stem"]),
+        "--transformed-lyrics", str(fixture_pair["trans_lyrics"]),
+        "--artist", "fixture",
+        "--sections", str(fixture_pair["sections"]),
+        "--offline",
+    ]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    out = tmp / "out" / "report.json"
+    assert main([*args, "--out", str(out), "--emit", "waveform,spectrogram"]) == 0
+
+    def body(text):
+        return [line for line in text.splitlines() if '"created_at"' not in line]
+
+    file_text = out.read_text(encoding="utf-8")
+    assert body(stdout) == body(file_text)
+    report = load_report(out)
+    assert file_text == _dumps(report) + "\n"
+    write_report(report, tmp / "again.json")
+    assert (tmp / "again.json").read_text(encoding="utf-8") == file_text
+    for kind, oracle in ORACLES.items():
+        oracle(report, tmp / f"{kind}_oracle.csv")
+        assert (tmp / "out" / f"fixture_{kind}.csv").read_bytes() == (
+            tmp / f"{kind}_oracle.csv"
+        ).read_bytes()

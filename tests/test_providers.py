@@ -207,6 +207,19 @@ class TestEmbeddingClient:
         assert server.requests_seen == 2
         assert list(cache.iterdir()) == []
 
+    @pytest.mark.parametrize("unit_normalize", [True, False])
+    def test_zero_vector_never_cached(self, mock_provider, tmp_path, unit_normalize):
+        server = mock_provider({"vector": [0, 0, 0]})
+        cache = tmp_path / "cache"
+        client = EmbeddingClient(
+            fast_cfg(server.url, cache_dir=str(cache)), unit_normalize=unit_normalize
+        )
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="out-of-contract zero-norm vector"):
+                client.embed("text")
+        assert server.requests_seen == 2
+        assert list(cache.iterdir()) == []
+
     def test_returned_vector_is_read_only(self, mock_provider):
         server = mock_provider({"vector": [3.0, 4.0]})
         client = EmbeddingClient(fast_cfg(server.url))

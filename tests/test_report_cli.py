@@ -87,6 +87,17 @@ class TestRunPipeline:
         write_report(load_report(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_zero_embedding_is_a_stage_4_error(self, fixture_pair):
+        class ZeroEmbedder:
+            def embed(self, text):
+                return np.zeros(3)
+
+        orig, trans = bundles(fixture_pair)
+        with pytest.raises(StageError, match="stage 4 .*zero-norm embedding"):
+            run_pipeline(
+                orig, trans, classifier=StubSentimentClassifier(), embedder=ZeroEmbedder(),
+            )
+
     def test_requires_providers(self, fixture_pair):
         orig, trans = bundles(fixture_pair)
         with pytest.raises(ValueError):
@@ -251,6 +262,26 @@ class TestCli:
         assert out_path.exists()
         assert (fixture_pair["tmp_path"] / "fixture_radar.csv").exists()
         assert (fixture_pair["tmp_path"] / "fixture_similarity.csv").exists()
+
+    @pytest.mark.parametrize("emit", ["radar,radr", "radar,", "histogram"])
+    def test_bad_emit_kind_fails_before_analysis(self, fixture_pair, capsys, emit):
+        tmp = fixture_pair["tmp_path"]
+        code = main([
+            "compare",
+            "--original-stem", str(fixture_pair["orig_stem"]),
+            "--original-lyrics", str(fixture_pair["orig_lyrics"]),
+            "--transformed-stem", str(fixture_pair["trans_stem"]),
+            "--transformed-lyrics", str(fixture_pair["trans_lyrics"]),
+            "--artist", "fixture",
+            "--out", str(tmp / "report.json"),
+            "--offline",
+            "--emit", emit,
+        ])
+        assert code == 1
+        bad = emit.split(",")[-1]
+        assert f"unknown plot kind: {bad!r}" in capsys.readouterr().err
+        assert not (tmp / "report.json").exists()
+        assert list(tmp.glob("*.csv")) == []
 
     def test_missing_input_exit_code_1(self, fixture_pair, capsys):
         code = main([
