@@ -12,8 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
+from scipy import fft, signal
 from scipy.io import wavfile
+
+SUBTRACT_BLOCK = 64  # frames per rfft -> subtract -> irfft -> overlap-add step
 
 
 class AudioLoadError(ValueError):
@@ -137,6 +139,25 @@ def highpass(buf: AudioBuffer, cutoff: float = 100.0, order: int = 4) -> AudioBu
     return replace(buf, samples=out)
 
 
+def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.ndarray:
+    """Frames of x as rows: every hop samples from 0, or at explicit start offsets.
+
+    Hop framing returns a read-only strided view of x; explicit starts,
+    each of which must leave a whole frame inside x, return a copy.
+    """
+    if len(x) < frame_length:
+        raise ValueError("buffer shorter than one frame")
+    windows = np.lib.stride_tricks.sliding_window_view(x, frame_length)
+    if starts is None:
+        return windows[::hop]
+    return windows[starts]
+
+
+def _blocks(n: int):
+    """Slices of SUBTRACT_BLOCK rows covering range(n)."""
+    return (slice(i, min(i + SUBTRACT_BLOCK, n)) for i in range(0, n, SUBTRACT_BLOCK))
+
+
 def spectral_subtract(
     buf: AudioBuffer,
     cfg: PreprocessConfig,
@@ -150,31 +171,63 @@ def spectral_subtract(
     quietest 10% of frames ("quietest" mode). Magnitudes are floored at
     cfg.subtraction_floor times the noise magnitude; phase is kept and
     the signal is rebuilt by overlap-add.
+
+    The frames are those of scipy's ShortTimeFFT.stft: Hann-windowed,
+    centred on multiples of hop, zero-padded at both ends. They are
+    processed SUBTRACT_BLOCK at a time (rfft, subtract, irfft, times the
+    synthesis window, overlap-add), so besides the input, one padded copy
+    of it and the output, memory is bounded by the block, not by the
+    track. The phase is kept by scaling each bin by cleaned / |X|; a bin
+    with |X| == 0, as in digital silence, has no phase to scale and gets
+    cleaned times exp(1j * angle(X)), as ShortTimeFFT.istft would.
+    "quietest" mode makes one extra blocked pass for the frame energies.
     """
     n_profile = int(round(cfg.noise_profile_window * buf.sample_rate))
-    if len(buf.samples) <= n_profile:
+    x = buf.samples
+    if len(x) <= n_profile:
         raise ValueError("buffer shorter than noise profile window")
-    if not np.any(buf.samples):
+    if not np.any(x):
         return buf
 
     win = signal.get_window("hann", frame_length)
+    # ShortTimeFFT supplies the frame range, the centring and the synthesis window
     sft = signal.ShortTimeFFT(win, hop=hop, fs=buf.sample_rate)
-    spec = sft.stft(buf.samples)
-    mags = np.abs(spec)
-    phase = np.angle(spec)
+    m, mid = sft.m_num, sft.m_num_mid
+    if len(x) < m - mid:
+        raise ValueError("buffer shorter than half a frame")
+    n_frames = sft.p_max(len(x)) - sft.p_min
+    head = mid - sft.p_min * hop  # zeros before sample 0, so that row 0 is frame p_min
+    padded = np.pad(x, (head, (n_frames - 1) * hop + m - head - len(x)))
+    frames = _frames(padded, m, hop)
+
+    def spectra(rows):
+        # rolled so that each frame's centre sample comes first, as in ShortTimeFFT
+        return fft.rfft(np.roll(frames[rows] * win, -mid, axis=1), axis=1)
 
     if cfg.noise_profile_mode == "leading":
-        n_frames = max(1, n_profile // hop)
-        noise_mag = mags[:, :n_frames].mean(axis=1, keepdims=True)
+        chosen = np.arange(min(max(1, n_profile // hop), n_frames))
     else:
-        frame_energy = (mags**2).sum(axis=0)
-        k = max(1, int(0.1 * mags.shape[1]))
-        quietest = np.argsort(frame_energy)[:k]
-        noise_mag = mags[:, quietest].mean(axis=1, keepdims=True)
+        energy = np.concatenate([(np.abs(spectra(b)) ** 2).sum(axis=1) for b in _blocks(n_frames)])
+        chosen = np.argsort(energy)[: max(1, int(0.1 * n_frames))]
+    noise = sum(np.abs(spectra(chosen[b])).sum(axis=0) for b in _blocks(len(chosen))) / len(chosen)
+    floor = cfg.subtraction_floor * noise
 
-    cleaned = np.maximum(mags - noise_mag, cfg.subtraction_floor * noise_mag)
-    out = sft.istft(cleaned * np.exp(1j * phase), k1=len(buf.samples))
-    return replace(buf, samples=np.real(out[: len(buf.samples)]))
+    out = np.zeros(len(padded))
+    for b in _blocks(n_frames):
+        spec = spectra(b)
+        mags = np.abs(spec)
+        cleaned = np.maximum(mags - noise, floor)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gain = cleaned / mags
+        bare = ~np.isfinite(gain)  # |X| == 0 (or too small to divide by): no phase to scale
+        phase = np.exp(1j * np.angle(spec[bare]))
+        gain[bare] = 0.0
+        spec *= gain
+        spec[bare] = cleaned[bare] * phase
+        rebuilt = np.roll(fft.irfft(spec, n=m, axis=1), mid, axis=1) * sft.dual_win
+        for row, frame in zip(range(b.start, b.stop), rebuilt):
+            out[row * hop : row * hop + m] += frame
+    return replace(buf, samples=out[head : head + len(x)])
 
 
 def normalize(buf: AudioBuffer) -> AudioBuffer:

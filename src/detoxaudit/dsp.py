@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, _frames
 
 SECTION_LABELS = ("intro", "verse", "chorus", "bridge", "outro")
 
@@ -57,20 +57,6 @@ class SectionMap:
                 raise ValueError(f"unknown section label: {label}")
             if start >= end:
                 raise ValueError(f"section {label}: start {start} >= end {end}")
-
-
-def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.ndarray:
-    """Frames of x as rows: every hop samples from 0, or at explicit start offsets.
-
-    Hop framing returns a read-only strided view of x; explicit starts,
-    each of which must leave a whole frame inside x, return a copy.
-    """
-    if len(x) < frame_length:
-        raise ValueError("buffer shorter than one frame")
-    windows = np.lib.stride_tricks.sliding_window_view(x, frame_length)
-    if starts is None:
-        return windows[::hop]
-    return windows[starts]
 
 
 def stft(

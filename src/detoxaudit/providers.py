@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -50,10 +51,12 @@ class ProviderConfig:
     model: str = "default"
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError("backoff_base must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import AudioBuffer
-from .dsp import _frames, frame_rms, rms_stats
+from .audio_io import AudioBuffer, _frames
+from .dsp import frame_rms, rms_stats
 
 HNR_CAP_DB = 40.0
 # frames per batch in the f0, HNR and CPP kernels; at 4096-sample HNR frames a

@@ -348,3 +348,16 @@ class TestProviderConfig:
     def test_invalid_retries(self):
         with pytest.raises(ValueError):
             ProviderConfig(max_retries=-1)
+
+    @pytest.mark.parametrize("timeout", (float("nan"), float("inf"), -1.0))
+    def test_non_finite_or_negative_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            ProviderConfig(timeout=timeout)
+
+    @pytest.mark.parametrize("backoff", (-1.0, float("nan"), float("inf")))
+    def test_negative_or_non_finite_backoff(self, backoff):
+        with pytest.raises(ValueError, match="backoff_base"):
+            ProviderConfig(backoff_base=backoff)
+
+    def test_zero_backoff_allowed(self):
+        assert ProviderConfig(backoff_base=0.0).backoff_base == 0.0

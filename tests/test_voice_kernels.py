@@ -4,8 +4,16 @@ The loops in voice_loops.py are the reference. Values must agree to rel
 1e-9 (abs 1e-12 floor) and voicing decisions exactly, on random
 harmonic-plus-noise buffers with leading and trailing silence, at frame
 counts of 1, one chunk and one chunk plus one. The period walk must equal
-its loop exactly.
+its loop exactly, and jitter and shimmer must match their loops on random
+period sequences.
+
+voice_report must not depend on the level of a preprocessed stem: HNR,
+jitter, shimmer and the voiced fraction are ratios, so scaling the stem by
+1e-3 to 1e3 leaves them unchanged to round-off. CPP does not hold this; see
+test_cpp_depends_on_level.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voice_loops
-from detoxaudit import PitchConfig, PitchTrack, cpp, estimate_f0, extract_periods, hnr
+from detoxaudit import (
+    PeriodSequence,
+    PitchConfig,
+    PitchTrack,
+    cpp,
+    estimate_f0,
+    extract_periods,
+    hnr,
+    jitter,
+    preprocess,
+    shimmer,
+    voice_report,
+)
 from detoxaudit.voice import CHUNK_FRAMES
 from conftest import SR, buffer
 
@@ -142,3 +162,67 @@ def test_extract_periods_matches_loop(data):
     got = extract_periods(buf, track)
     np.testing.assert_array_equal(got.periods, want.periods)
     np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize("percent", (False, True))
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    periods=st.lists(st.floats(1 / 500, 1 / 50), min_size=0, max_size=300),
+    data=st.data(),
+)
+def test_jitter_and_shimmer_match_loop(percent, periods, data):
+    """Periods from 2 to 20 ms; amplitudes from 0 to 2, so an all-zero run occurs."""
+    amps = data.draw(
+        st.lists(st.floats(0.0, 2.0), min_size=len(periods), max_size=len(periods))
+    )
+    seq = PeriodSequence(np.array(periods), np.array(amps))
+    for metric, loop in ((jitter, voice_loops.jitter), (shimmer, voice_loops.shimmer)):
+        try:
+            want = loop(seq, percent)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                metric(seq, percent)
+            continue
+        assert_close(metric(seq, percent), want)
+
+
+SCALE_INVARIANT = ("hnr_db", "jitter", "shimmer", "voiced_fraction")
+
+
+def scaled_reports(buf, scale):
+    stem = preprocess(buf)
+    scaled = replace(stem, samples=stem.samples * scale)
+    return voice_report(stem).as_dict(), voice_report(scaled).as_dict()
+
+
+@st.composite
+def stems(draw):
+    """A quiet half-second lead-in, which becomes the noise profile, then a voice."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    lead = draw(st.floats(0.0, 0.01)) * rng.standard_normal(SR // 2)
+    voice = draw(voices(draw(st.integers(SR // 2, 3 * SR // 2))))
+    return buffer(np.concatenate([lead, voice.samples]))
+
+
+@kernel_settings
+@given(buf=stems(), exponent=st.floats(-3.0, 3.0))
+def test_voice_report_invariant_to_level(buf, exponent):
+    base, scaled = scaled_reports(buf, 10**exponent)
+    for name in SCALE_INVARIANT:
+        assert_same_metric(scaled[name], base[name])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="cpp adds an absolute 1e-12 to each power spectrum and gates frames on an "
+    "absolute RMS of 1e-4, so its value moves with the level of the stem",
+)
+def test_cpp_depends_on_level():
+    t = np.arange(2 * SR) / SR
+    rng = np.random.RandomState(0)
+    voice = sum(np.sin(2 * np.pi * 180 * h * t + h) / h for h in range(1, 9))
+    voice += 0.05 * rng.standard_normal(len(t))
+    lead = 0.002 * rng.standard_normal(SR // 2)
+    base, scaled = scaled_reports(buffer(np.concatenate([lead, voice])), 3.7)
+    assert_same_metric(scaled["cpp"], base["cpp"])

@@ -5,7 +5,8 @@ f0 and HNR; Hillenbrand et al. 1994 CPP with a regression baseline). The
 batched kernels in detoxaudit.voice must reproduce them to floating-point
 round-off. extract_periods is the original period walk, which filters every
 crossing of a voiced run once per cycle; the library's walk must reproduce
-it exactly.
+it exactly. jitter and shimmer are the cycle-by-cycle sums of their
+definitions (Teixeira et al. 2013, "local" jitter and shimmer).
 """
 
 import numpy as np
@@ -204,3 +205,26 @@ def cpp(buf, frame_length=2048, hop=1024, f_search=(60.0, 330.0), baseline="regr
     if not values:
         return None
     return float(np.mean(values))
+
+
+def _local_variation(values):
+    """Mean absolute difference of consecutive values over their mean."""
+    if len(values) < 2:
+        raise ValueError("need at least 2 periods")
+    total_diff = 0.0
+    for i in range(1, len(values)):
+        total_diff += abs(values[i] - values[i - 1])
+    mean = sum(values) / len(values)
+    if mean == 0:
+        raise ValueError("mean amplitude is zero")
+    return (total_diff / (len(values) - 1)) / mean
+
+
+def jitter(seq, percent=False):
+    value = _local_variation([float(t) for t in seq.periods])
+    return value * 100 if percent else value
+
+
+def shimmer(seq, percent=False):
+    value = _local_variation([float(a) for a in seq.amplitudes])
+    return value * 100 if percent else value
