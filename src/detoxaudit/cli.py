@@ -44,19 +44,12 @@ def _preprocess_cfg(args) -> PreprocessConfig:
     return PreprocessConfig(**params)
 
 
-def _retry_overrides(args) -> dict:
-    """The --max-retries / --backoff values given, as ProviderConfig fields."""
-    given = {"max_retries": args.max_retries, "backoff_base": args.backoff}
-    return {key: value for key, value in given.items() if value is not None}
-
-
 def _providers(args):
     if args.offline:
         return providers.StubSentimentClassifier(), providers.StubEmbedder()
-    overrides = _retry_overrides(args)
     return (
-        providers.sentiment_client_from_env(**overrides),
-        providers.embedding_client_from_env(**overrides),
+        providers.sentiment_client_from_env(),
+        providers.embedding_client_from_env(),
     )
 
 
@@ -109,10 +102,7 @@ def cmd_compare(args) -> int:
 def cmd_rewrite(args) -> int:
     text = Path(args.lyrics).read_text(encoding="utf-8")
     req = providers.RewriteRequest(text)
-    if args.offline:
-        client = providers.StubRewriter()
-    else:
-        client = providers.rewrite_client_from_env(**_retry_overrides(args))
+    client = providers.StubRewriter() if args.offline else providers.rewrite_client_from_env()
     print(client.rewrite(req))
     return EXIT_OK
 
@@ -130,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-seconds", type=float, help="truncate audio to this many seconds")
         p.add_argument("--no-denoise", action="store_true", help="skip spectral subtraction")
 
-    def add_provider(p):
-        p.add_argument("--offline", action="store_true", help="use deterministic stub providers")
-        p.add_argument("--max-retries", type=int, help="retries per provider call (default 3)")
-        p.add_argument("--backoff", type=float, help="first retry delay (s), doubled per retry")
-
     p = sub.add_parser("analyze-audio", help="voice metrics for one vocal stem")
     p.add_argument("stem")
     p.add_argument("--sections", help="section sidecar file")
@@ -144,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-lyrics", help="sentiment and n-grams for one lyric file")
     p.add_argument("lyrics")
-    add_provider(p)
+    p.add_argument("--offline", action="store_true", help="use deterministic stub providers")
     p.set_defaults(func=cmd_analyze_lyrics)
 
     p = sub.add_parser("compare", help="full original vs transformed comparison report")
@@ -155,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artist", default="track")
     p.add_argument("--sections")
     p.add_argument("--out", help="report JSON output path")
-    add_provider(p)
+    p.add_argument("--offline", action="store_true")
     p.add_argument("--emit", help=f"comma list of plot kinds: {','.join(report.PLOT_KINDS)}")
     add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("rewrite", help="send lyrics through the rewrite provider")
     p.add_argument("lyrics")
-    add_provider(p)
+    p.add_argument("--offline", action="store_true")
     p.set_defaults(func=cmd_rewrite)
 
     return parser

@@ -1,6 +1,5 @@
 import json
 import socket
-import time
 
 import numpy as np
 import pytest
@@ -300,35 +299,6 @@ class TestCli:
         monkeypatch.setenv("DETOX_EMBED_URL", "http://127.0.0.1:9/")
         code = main(["analyze-lyrics", str(fixture_pair["orig_lyrics"])])
         assert code == 2
-
-    @pytest.mark.parametrize("command", ("analyze-lyrics", "compare", "rewrite"))
-    def test_provider_error_without_retries_exits_fast(
-        self, command, fixture_pair, monkeypatch, capsys
-    ):
-        for var in ("DETOX_SENTIMENT_URL", "DETOX_EMBED_URL", "DETOX_REWRITE_URL"):
-            monkeypatch.setenv(var, "http://127.0.0.1:9/")
-        if command == "compare":
-            args = [
-                "compare",
-                "--original-stem", str(fixture_pair["orig_stem"]),
-                "--original-lyrics", str(fixture_pair["orig_lyrics"]),
-                "--transformed-stem", str(fixture_pair["trans_stem"]),
-                "--transformed-lyrics", str(fixture_pair["trans_lyrics"]),
-            ]
-        else:
-            args = [command, str(fixture_pair["orig_lyrics"])]
-        start = time.perf_counter()
-        code = main(args + ["--max-retries", "0", "--backoff", "5"])
-        elapsed = time.perf_counter() - start
-        assert code == 2
-        assert "provider error" in capsys.readouterr().err
-        # compare analyzes both stems first; any retry would sleep --backoff 5 s
-        assert elapsed < (5.0 if command == "compare" else 1.0)
-
-    @pytest.mark.parametrize("flag, value", (("--max-retries", "-1"), ("--backoff", "-1")))
-    def test_invalid_retry_flags_exit_code_1(self, flag, value, fixture_pair, capsys):
-        code = main(["rewrite", str(fixture_pair["orig_lyrics"]), flag, value])
-        assert code == 1
 
     def test_rewrite_offline(self, fixture_pair, capsys):
         assert main(["rewrite", str(fixture_pair["orig_lyrics"]), "--offline"]) == 0
