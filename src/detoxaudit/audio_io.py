@@ -7,7 +7,7 @@ function over an immutable AudioBuffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +15,10 @@ import numpy as np
 from scipy import fft, signal
 from scipy.io import wavfile
 
-SUBTRACT_BLOCK = 64  # frames per rfft -> subtract -> irfft -> overlap-add step
+# frames per step of every framed kernel (spectral subtraction, RMS, f0, HNR,
+# CPP); at 4096-sample HNR frames a block's complex spectrum takes 2 MiB and
+# each float temporary 1 MiB
+BLOCK_FRAMES = 64
 
 
 class AudioLoadError(ValueError):
@@ -28,7 +31,6 @@ class AudioBuffer:
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str = ""
     silent: bool = False
     preprocessed: bool = False
 
@@ -58,6 +60,8 @@ class PreprocessConfig:
     def __post_init__(self):
         if not 0 <= self.preemphasis_alpha < 1:
             raise ValueError("preemphasis_alpha must be in [0, 1)")
+        if not 0 <= self.noise_profile_window < np.inf:
+            raise ValueError("noise_profile_window must be finite and >= 0")
         if not 0 <= self.subtraction_floor <= 1:
             raise ValueError("subtraction_floor must be in [0, 1]")
         if self.noise_profile_mode not in ("leading", "quietest"):
@@ -93,7 +97,7 @@ def load_track(path) -> AudioBuffer:
         raise AudioLoadError(f"non-finite samples (NaN or Inf) in {path}")
     if samples.ndim > 1:
         samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(rate), source_id=path.stem)
+    return AudioBuffer(samples, int(rate))
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -145,6 +149,8 @@ def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.n
     Hop framing returns a read-only strided view of x; explicit starts,
     each of which must leave a whole frame inside x, return a copy.
     """
+    if hop < 1:
+        raise ValueError(f"hop must be >= 1, got {hop}")
     if len(x) < frame_length:
         raise ValueError("buffer shorter than one frame")
     windows = np.lib.stride_tricks.sliding_window_view(x, frame_length)
@@ -154,8 +160,8 @@ def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.n
 
 
 def _blocks(n: int):
-    """Slices of SUBTRACT_BLOCK rows covering range(n)."""
-    return (slice(i, min(i + SUBTRACT_BLOCK, n)) for i in range(0, n, SUBTRACT_BLOCK))
+    """Slices of BLOCK_FRAMES rows covering range(n)."""
+    return (slice(i, min(i + BLOCK_FRAMES, n)) for i in range(0, n, BLOCK_FRAMES))
 
 
 def spectral_subtract(
@@ -174,7 +180,7 @@ def spectral_subtract(
 
     The frames are those of scipy's ShortTimeFFT.stft: Hann-windowed,
     centred on multiples of hop, zero-padded at both ends. They are
-    processed SUBTRACT_BLOCK at a time (rfft, subtract, irfft, times the
+    processed BLOCK_FRAMES at a time (rfft, subtract, irfft, times the
     synthesis window, overlap-add), so besides the input, one padded copy
     of it and the output, memory is bounded by the block, not by the
     track. The phase is kept by scaling each bin by cleaned / |X|; a bin

@@ -35,9 +35,9 @@ def _preprocess_cfg(args) -> PreprocessConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     params = dict(cfg)
-    if getattr(args, "target_rate", None):
+    if getattr(args, "target_rate", None) is not None:
         params["target_rate"] = args.target_rate
-    if getattr(args, "max_seconds", None):
+    if getattr(args, "max_seconds", None) is not None:
         params["max_duration"] = args.max_seconds
     if getattr(args, "no_denoise", False):
         params["denoise"] = False

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal
 
-from .audio_io import AudioBuffer, _frames
+from .audio_io import AudioBuffer, _blocks, _frames
 
 SECTION_LABELS = ("intro", "verse", "chorus", "bridge", "outro")
 
@@ -25,7 +25,6 @@ class Spectrogram:
     frame_length: int
     hop: int
     sample_rate: int
-    window: str = "hann"
 
     @property
     def frame_times(self) -> np.ndarray:
@@ -55,8 +54,8 @@ class SectionMap:
         for label, start, end in self.entries:
             if label not in SECTION_LABELS:
                 raise ValueError(f"unknown section label: {label}")
-            if start >= end:
-                raise ValueError(f"section {label}: start {start} >= end {end}")
+            if not 0 <= start < end < np.inf:  # false for a NaN bound too
+                raise ValueError(f"section {label}: need 0 <= start < end < inf, got {start}-{end}")
 
 
 def stft(
@@ -69,22 +68,21 @@ def stft(
     if hop > frame_length:
         raise ValueError("hop must not exceed frame_length")
     frames = _frames(buf.samples, frame_length, hop)
-    if window == "rectangular":
-        win = np.ones(frame_length)
-    else:
-        win = signal.get_window(window, frame_length)
-    mags = np.abs(np.fft.rfft(frames * win, axis=1))
-    return Spectrogram(mags, frame_length, hop, buf.sample_rate, window)
+    mags = np.abs(np.fft.rfft(frames * signal.get_window(window, frame_length), axis=1))
+    return Spectrogram(mags, frame_length, hop, buf.sample_rate)
 
 
 def frame_rms(buf: AudioBuffer, frame_length: int = 2048, hop: int = 512) -> RmsSeries:
-    """Per-frame root-mean-square amplitude."""
+    """Per-frame root-mean-square amplitude, BLOCK_FRAMES frames at a time.
+
+    A buffer shorter than frame_length is one frame.
+    """
     if frame_length < 1:
         raise ValueError("frame_length must be >= 1")
     if len(buf.samples) == 0:
         raise ValueError("empty buffer")
     frames = _frames(buf.samples, min(frame_length, len(buf.samples)), hop)
-    values = np.sqrt((frames**2).mean(axis=1))
+    values = np.concatenate([np.sqrt((frames[b] ** 2).mean(axis=1)) for b in _blocks(len(frames))])
     times = np.arange(len(values)) * hop / buf.sample_rate
     return RmsSeries(values, times)
 

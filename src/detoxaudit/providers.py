@@ -192,10 +192,6 @@ class SentimentClient(_HttpProvider):
 class EmbeddingClient(_HttpProvider):
     name = "embedding"
 
-    def __init__(self, cfg: ProviderConfig, unit_normalize: bool = True):
-        super().__init__(cfg)
-        self.unit_normalize = unit_normalize
-
     def embed(self, text: str) -> np.ndarray:
         return self._memoized(text, self._request)
 
@@ -209,7 +205,7 @@ class EmbeddingClient(_HttpProvider):
         norm = np.linalg.norm(vec)
         if norm == 0:  # no direction, so no cosine to score
             raise ProviderError(f"embedding: out-of-contract zero-norm vector {payload!r}")
-        return vec / norm if self.unit_normalize else vec
+        return vec / norm
 
 
 class RewriteClient(_HttpProvider):

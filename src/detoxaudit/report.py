@@ -182,7 +182,6 @@ def run_pipeline(
     classifier=None,
     embedder=None,
     out_path=None,
-    similarity_window: int = 5,
 ) -> dict:
     """Run both frameworks over a song pair and assemble the comparison report.
 
@@ -201,10 +200,7 @@ def run_pipeline(
     lyric = {side: analyze_lyrics(b.lyrics, classifier) for side, b in bundles.items()}
 
     try:
-        sims = lyr.line_similarity(
-            lyric["original"]["doc"], lyric["transformed"]["doc"], embedder,
-            window=similarity_window,
-        )
+        sims = lyr.line_similarity(lyric["original"]["doc"], lyric["transformed"]["doc"], embedder)
     except ValueError as exc:
         raise StageError("stage 4 (semantic analysis)", str(exc)) from exc
 

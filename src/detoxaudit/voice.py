@@ -11,13 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import AudioBuffer, _frames
+from .audio_io import AudioBuffer, _blocks, _frames
 from .dsp import frame_rms, rms_stats
 
 HNR_CAP_DB = 40.0
-# frames per batch in the f0, HNR and CPP kernels; at 4096-sample HNR frames a
-# chunk's complex spectrum takes 2 MiB and each float temporary 1 MiB
-CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -110,28 +107,23 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
         raise ValueError("frame too short for fmin")
 
     x = buf.samples
-    n_frames = max(0, 1 + (len(x) - frame_len) // hop)
-    times = np.arange(n_frames) * hop / sr
+    if len(x) < frame_len:
+        return PitchTrack(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), np.empty(0))
+
+    rms = frame_rms(buf, frame_len, hop)
+    n_frames = len(rms.values)
     f0 = np.full(n_frames, np.nan)
     voiced = np.zeros(n_frames, dtype=bool)
     conf = np.zeros(n_frames)
-
-    if n_frames == 0:
-        return PitchTrack(times, f0, voiced, conf)
-
     frames = _frames(x, frame_len, hop)
-    frame_rms_vals = np.concatenate([
-        np.sqrt((frames[c : c + CHUNK_FRAMES] ** 2).mean(axis=1))
-        for c in range(0, n_frames, CHUNK_FRAMES)
-    ])
-    gate = cfg.silence_gate * (frame_rms_vals.max() if frame_rms_vals.max() > 0 else 1.0)
+    gate = cfg.silence_gate * (rms.values.max() if rms.values.max() > 0 else 1.0)
 
     n_fft = 1 << (2 * frame_len - 2).bit_length()
     lags = np.arange(lag_min, min(lag_max + 1, frame_len))
     n_lags = len(lags)
-    gated = np.flatnonzero(~(frame_rms_vals <= gate))  # a NaN frame is not gated
-    for c in range(0, len(gated), CHUNK_FRAMES):
-        ks = gated[c : c + CHUNK_FRAMES]
+    gated = np.flatnonzero(~(rms.values <= gate))  # a NaN frame is not gated
+    for b in _blocks(len(gated)):
+        ks = gated[b]
         frame = frames[ks]
         frame = frame - frame.mean(axis=1, keepdims=True)
         spec = np.fft.rfft(frame, n_fft, axis=1)
@@ -170,7 +162,7 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
         voiced[ks[ok]] = True
         conf[ks[ok]] = np.minimum(np.maximum(peak_val[ok], 0.0), 1.0)
 
-    return PitchTrack(times, f0, voiced, conf)
+    return PitchTrack(rms.frame_times, f0, voiced, conf)
 
 
 def _rising_crossings(x: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -270,10 +262,10 @@ def hnr(
     fits = np.logical_and.accumulate(start + frame_length <= len(x))
     ks, start = ks[fits], start[fits]
     values = []
-    for c in range(0, len(ks), CHUNK_FRAMES):
-        spec = np.fft.rfft(_frames(x, frame_length, starts=start[c : c + CHUNK_FRAMES]) * win)
+    for b in _blocks(len(ks)):
+        spec = np.fft.rfft(_frames(x, frame_length, starts=start[b]) * win)
         power = np.abs(spec) ** 2 * weights
-        f0_bin = track.f0[ks[c : c + CHUNK_FRAMES], None] * frame_length / sr
+        f0_bin = track.f0[ks[b], None] * frame_length / sr
         n_harm = (frame_length / 2) // f0_bin
         # a bin is harmonic when the nearest multiple h * f0, 1 <= h <= n_harm, is close
         nearest = np.clip(np.round(bins / f0_bin), 1, np.maximum(n_harm, 1))
@@ -295,19 +287,16 @@ def cpp(
     frame_length: int = 2048,
     hop: int = 1024,
     f_search: tuple = (60.0, 330.0),
-    baseline: str = "regression",
     energy_gate: float = 1e-4,
 ) -> float | None:
     """Mean cepstral peak prominence over frames that pass the energy gate.
 
     Per frame: real cepstrum of the dB power spectrum; the peak within the
-    quefrency band for f_search is measured against either a least-squares
-    line over that band ("regression", Hillenbrand et al. 1994) or the flat
-    mean of the band ("mean"). Frames whose mean-removed RMS is below
-    energy_gate are skipped; a DC-only signal therefore reports no CPP.
+    quefrency band for f_search is measured against a least-squares line
+    over that band (Hillenbrand et al. 1994). Frames whose mean-removed RMS
+    is below energy_gate are skipped; a DC-only signal therefore reports no
+    CPP.
     """
-    if baseline not in ("regression", "mean"):
-        raise ValueError("baseline must be 'regression' or 'mean'")
     sr = buf.sample_rate
     x = buf.samples
     if len(x) < frame_length:
@@ -320,8 +309,8 @@ def cpp(
     q_dev = q - q.mean()
     frames = _frames(x, frame_length, hop)
     values = []
-    for c in range(0, len(frames), CHUNK_FRAMES):
-        frame = frames[c : c + CHUNK_FRAMES]
+    for b in _blocks(len(frames)):
+        frame = frames[b]
         ac = frame - frame.mean(axis=1, keepdims=True)
         frame = frame[~(np.sqrt((ac**2).mean(axis=1)) < energy_gate)]  # a NaN frame is kept
         spec = np.abs(np.fft.rfft(frame * win)) ** 2
@@ -329,29 +318,23 @@ def cpp(
         band = np.fft.irfft(log_spec)[:, q_lo : q_hi + 1]
         i_peak = np.argmax(band, axis=1)
         peak = band[np.arange(len(band)), i_peak]
-        band_mean = band.mean(axis=1)
-        if baseline == "regression":
-            slope = (band @ q_dev) / (q_dev @ q_dev)
-            base = band_mean + slope * q_dev[i_peak]
-        else:
-            base = band_mean
-        values.append(peak - base)
+        slope = (band @ q_dev) / (q_dev @ q_dev)
+        values.append(peak - (band.mean(axis=1) + slope * q_dev[i_peak]))
     values = np.concatenate(values)
     if len(values) == 0:
         return None
     return float(np.mean(values))
 
 
-def jitter(seq: PeriodSequence, percent: bool = False) -> float:
+def jitter(seq: PeriodSequence) -> float:
     """Mean absolute cycle-to-cycle period difference over the mean period."""
     if seq.count < 2:
         raise ValueError("need at least 2 periods")
     t = seq.periods
-    value = np.abs(np.diff(t)).mean() / t.mean()
-    return float(value * 100 if percent else value)
+    return float(np.abs(np.diff(t)).mean() / t.mean())
 
 
-def shimmer(seq: PeriodSequence, percent: bool = False) -> float:
+def shimmer(seq: PeriodSequence) -> float:
     """Mean absolute cycle-to-cycle amplitude difference over the mean amplitude."""
     if seq.count < 2:
         raise ValueError("need at least 2 periods")
@@ -359,20 +342,18 @@ def shimmer(seq: PeriodSequence, percent: bool = False) -> float:
     mean_a = a.mean()
     if mean_a == 0:
         raise ValueError("mean amplitude is zero")
-    value = np.abs(np.diff(a)).mean() / mean_a
-    return float(value * 100 if percent else value)
+    return float(np.abs(np.diff(a)).mean() / mean_a)
 
 
-def voice_report(buf: AudioBuffer, pitch_cfg: PitchConfig | None = None) -> VoiceMetrics:
+def voice_report(buf: AudioBuffer) -> VoiceMetrics:
     """Full per-track voice metrics. Absent metrics stay None, never zero."""
-    pitch_cfg = pitch_cfg or PitchConfig()
     try:
         rms = rms_stats(frame_rms(buf))
     except ValueError:
         rms = {"avg": 0.0, "max": 0.0, "min": 0.0}
     if buf.silent or not np.any(buf.samples):
         return VoiceMetrics(None, None, None, None, 0.0, {"avg": 0.0, "max": 0.0, "min": 0.0})
-    track = estimate_f0(buf, pitch_cfg)
+    track = estimate_f0(buf)
     hnr_val = hnr(buf, track)
     try:
         cpp_val = cpp(buf)

@@ -223,6 +223,11 @@ class TestPreprocess:
         with pytest.raises(ValueError):
             PreprocessConfig(noise_profile_mode="bogus")
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -0.5])
+    def test_noise_profile_window_finite_and_non_negative(self, window):
+        with pytest.raises(ValueError, match="noise_profile_window"):
+            PreprocessConfig(noise_profile_window=window)
+
     def test_deterministic(self):
         sig = make_tone(440, 3.0) + 0.1 * make_noise(3.0, seed=9)
         a = preprocess(buffer(sig))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detoxaudit import RmsSeries, SectionMap, frame_rms, rms_stats, slice_sections, stft
+from detoxaudit.audio_io import BLOCK_FRAMES, _frames
 from detoxaudit.dsp import load_section_map
 from conftest import SR, buffer, make_tone
 
@@ -32,6 +35,11 @@ class TestStft:
     def test_hop_larger_than_frame_rejected(self):
         with pytest.raises(ValueError):
             stft(buffer(np.zeros(8192)), 2048, 4096)
+
+    @pytest.mark.parametrize("hop", [0, -512])
+    def test_hop_below_one_rejected(self, hop):
+        with pytest.raises(ValueError, match="hop must be >= 1"):
+            stft(buffer(make_tone(440, 1.0)), 2048, hop)
 
     def test_parseval_rectangular(self):
         # non-overlapping rectangular frames: spectral energy == time energy
@@ -67,6 +75,28 @@ class TestFrameRms:
     def test_empty_buffer(self):
         with pytest.raises(ValueError):
             frame_rms(buffer(np.zeros(0)))
+
+    @pytest.mark.parametrize("hop", [0, -512])
+    def test_hop_below_one_rejected(self, hop):
+        with pytest.raises(ValueError, match="hop must be >= 1"):
+            frame_rms(buffer(make_tone(440, 1.0)), 2048, hop)
+
+
+@pytest.mark.parametrize("n_frames", (1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1))
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_blocked_frame_rms_equals_whole_track(n_frames, data):
+    """Bit for bit, whatever the framing, including hops that skip samples."""
+    frame_length = data.draw(st.integers(1, 4096))
+    hop = data.draw(st.integers(1, 2 * frame_length))
+    n = frame_length + hop * (n_frames - 1) + data.draw(st.integers(0, hop - 1))
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**31 - 1)))
+    x = rng.standard_normal(n) * data.draw(st.floats(1e-6, 1e3))
+    frames = _frames(x, frame_length, hop)
+    assert len(frames) == n_frames
+    series = frame_rms(buffer(x), frame_length, hop)
+    np.testing.assert_array_equal(series.values, np.sqrt((frames**2).mean(axis=1)))
+    np.testing.assert_array_equal(series.frame_times, np.arange(n_frames) * hop / SR)
 
 
 class TestRmsStats:
@@ -112,6 +142,21 @@ class TestSections:
     def test_inverted_entry_rejected(self):
         with pytest.raises(ValueError):
             SectionMap((("verse", 5.0, 2.0),))
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(-1.0, 2.0), (float("nan"), 2.0), (0.0, float("nan")), (0.0, float("inf")),
+         (float("-inf"), 2.0)],
+    )
+    def test_negative_or_non_finite_bound_rejected(self, start, end):
+        with pytest.raises(ValueError, match="section intro"):
+            SectionMap((("intro", start, end),))
+
+    def test_sidecar_negative_start_rejected(self, tmp_path):
+        path = tmp_path / "negative.tsv"
+        path.write_text("intro\t-1\t0:02\n")
+        with pytest.raises(ValueError, match="section intro: need 0 <= start"):
+            load_section_map(path)
 
     def test_durations_bounded_by_source(self):
         buf = buffer(np.zeros(SR * 30))

@@ -183,11 +183,6 @@ class TestEmbeddingClient:
         vec = client.embed("text")
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-6)
 
-    def test_raw_vector_without_flag(self, mock_provider):
-        server = mock_provider({"vector": [3.0, 4.0]})
-        client = EmbeddingClient(fast_cfg(server.url), unit_normalize=False)
-        assert client.embed("text").tolist() == [3.0, 4.0]
-
     def test_identical_text_identical_vector(self, mock_provider):
         server = mock_provider({"vector": [1.0, 2.0, 3.0]})
         client = EmbeddingClient(fast_cfg(server.url))
@@ -207,13 +202,10 @@ class TestEmbeddingClient:
         assert server.requests_seen == 2
         assert list(cache.iterdir()) == []
 
-    @pytest.mark.parametrize("unit_normalize", [True, False])
-    def test_zero_vector_never_cached(self, mock_provider, tmp_path, unit_normalize):
+    def test_zero_vector_never_cached(self, mock_provider, tmp_path):
         server = mock_provider({"vector": [0, 0, 0]})
         cache = tmp_path / "cache"
-        client = EmbeddingClient(
-            fast_cfg(server.url, cache_dir=str(cache)), unit_normalize=unit_normalize
-        )
+        client = EmbeddingClient(fast_cfg(server.url, cache_dir=str(cache)))
         for _ in range(2):
             with pytest.raises(ProviderError, match="out-of-contract zero-norm vector"):
                 client.embed("text")

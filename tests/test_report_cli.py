@@ -199,6 +199,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["hnr_db"] is not None
 
+    def test_analyze_audio_percent_scales_jitter_and_shimmer(self, voiced_wav, capsys):
+        assert main(["analyze-audio", str(voiced_wav)]) == 0
+        fraction = json.loads(capsys.readouterr().out)
+        assert main(["analyze-audio", str(voiced_wav), "--percent"]) == 0
+        percent = json.loads(capsys.readouterr().out)
+        for key in ("jitter", "shimmer"):
+            assert percent[key] == pytest.approx(100 * fraction[key])
+        assert percent["hnr_db"] == fraction["hnr_db"]
+
     def test_analyze_lyrics_offline(self, fixture_pair, capsys):
         code = main(["analyze-lyrics", str(fixture_pair["orig_lyrics"]), "--offline"])
         assert code == 0
@@ -237,6 +246,17 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"max_duration": 0.0}))
         assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
+        assert "stage 3 (preprocessing)" in capsys.readouterr().err
+
+    def test_nan_noise_profile_window_exit_code_1(self, tmp_path, voiced_wav, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"noise_profile_window": NaN}')  # json.loads takes a bare NaN
+        assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
+        assert "noise_profile_window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--target-rate", "--max-seconds"])
+    def test_zero_preprocessing_flag_exit_code_1(self, voiced_wav, capsys, flag):
+        assert main(["analyze-audio", str(voiced_wav), flag, "0"]) == 1
         assert "stage 3 (preprocessing)" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_code_1(self, tmp_path, voiced_wav, capsys):

@@ -21,12 +21,12 @@ from scipy import signal
 
 import preprocess_oracles
 from detoxaudit import PreprocessConfig, spectral_subtract
-from detoxaudit.audio_io import SUBTRACT_BLOCK
+from detoxaudit.audio_io import BLOCK_FRAMES
 from conftest import SR, buffer, make_noise, make_tone
 
 RTOL, ATOL = 1e-9, 1e-12
 FRAMINGS = ((2048, 512), (1024, 256))
-FRAME_COUNTS = (None, SUBTRACT_BLOCK, SUBTRACT_BLOCK + 1, 2 * SUBTRACT_BLOCK + 1)
+FRAME_COUNTS = (None, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1)
 
 
 def length_range(n_frames, frame_length, hop):

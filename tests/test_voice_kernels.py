@@ -3,7 +3,7 @@
 The loops in voice_loops.py are the reference. Values must agree to rel
 1e-9 (abs 1e-12 floor) and voicing decisions exactly, on random
 harmonic-plus-noise buffers with leading and trailing silence, at frame
-counts of 1, one chunk and one chunk plus one. The period walk must equal
+counts of 1, one block and one block plus one. The period walk must equal
 its loop exactly, and jitter and shimmer must match their loops on random
 period sequences.
 
@@ -34,11 +34,11 @@ from detoxaudit import (
     shimmer,
     voice_report,
 )
-from detoxaudit.voice import CHUNK_FRAMES
+from detoxaudit.audio_io import BLOCK_FRAMES
 from conftest import SR, buffer
 
 RTOL, ATOL = 1e-9, 1e-12
-FRAME_COUNTS = (1, CHUNK_FRAMES, CHUNK_FRAMES + 1)
+FRAME_COUNTS = (1, BLOCK_FRAMES, BLOCK_FRAMES + 1)
 
 F0_FRAME = int(round(PitchConfig.frame_seconds * SR))
 F0_HOP = int(round(PitchConfig.hop_seconds * SR))
@@ -131,14 +131,13 @@ def test_hnr_on_estimated_track_matches_loop(data):
     assert_same_metric(hnr(buf, track), voice_loops.hnr(buf, track))
 
 
-@pytest.mark.parametrize("baseline", ("regression", "mean"))
 @pytest.mark.parametrize("n_frames", FRAME_COUNTS)
 @kernel_settings
 @given(data=st.data())
-def test_cpp_matches_loop(n_frames, baseline, data):
+def test_cpp_matches_loop(n_frames, data):
     extra = data.draw(st.integers(0, CPP_HOP - 1))
     buf = data.draw(voices(CPP_FRAME + CPP_HOP * (n_frames - 1) + extra))
-    assert_same_metric(cpp(buf, baseline=baseline), voice_loops.cpp(buf, baseline=baseline))
+    assert_same_metric(cpp(buf), voice_loops.cpp(buf))
 
 
 @kernel_settings
@@ -164,13 +163,12 @@ def test_extract_periods_matches_loop(data):
     np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
 
 
-@pytest.mark.parametrize("percent", (False, True))
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     periods=st.lists(st.floats(1 / 500, 1 / 50), min_size=0, max_size=300),
     data=st.data(),
 )
-def test_jitter_and_shimmer_match_loop(percent, periods, data):
+def test_jitter_and_shimmer_match_loop(periods, data):
     """Periods from 2 to 20 ms; amplitudes from 0 to 2, so an all-zero run occurs."""
     amps = data.draw(
         st.lists(st.floats(0.0, 2.0), min_size=len(periods), max_size=len(periods))
@@ -178,12 +176,12 @@ def test_jitter_and_shimmer_match_loop(percent, periods, data):
     seq = PeriodSequence(np.array(periods), np.array(amps))
     for metric, loop in ((jitter, voice_loops.jitter), (shimmer, voice_loops.shimmer)):
         try:
-            want = loop(seq, percent)
+            want = loop(seq)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                metric(seq, percent)
+                metric(seq)
             continue
-        assert_close(metric(seq, percent), want)
+        assert_close(metric(seq), want)
 
 
 SCALE_INVARIANT = ("hnr_db", "jitter", "shimmer", "voiced_fraction")
