@@ -19,6 +19,7 @@ from scipy.io import wavfile
 # CPP); at 4096-sample HNR frames a block's complex spectrum takes 2 MiB and
 # each float temporary 1 MiB
 BLOCK_FRAMES = 64
+HIGHPASS_ORDER = 4
 
 
 class AudioLoadError(ValueError):
@@ -58,6 +59,8 @@ class PreprocessConfig:
     denoise: bool = True
 
     def __post_init__(self):
+        if not 0 <= self.max_duration < np.inf:  # false for NaN too
+            raise ValueError("max_duration must be finite and >= 0")
         if not 0 <= self.preemphasis_alpha < 1:
             raise ValueError("preemphasis_alpha must be in [0, 1)")
         if not 0 <= self.noise_profile_window < np.inf:
@@ -131,14 +134,14 @@ def preemphasis(buf: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     return replace(buf, samples=y)
 
 
-def highpass(buf: AudioBuffer, cutoff: float = 100.0, order: int = 4) -> AudioBuffer:
-    """Zero-phase Butterworth high-pass removing content below cutoff."""
+def highpass(buf: AudioBuffer, cutoff: float = 100.0) -> AudioBuffer:
+    """Zero-phase Butterworth high-pass (order HIGHPASS_ORDER) removing content below cutoff."""
     nyquist = buf.sample_rate / 2
     if not 0 < cutoff < nyquist:
         raise ValueError(f"cutoff must be in (0, {nyquist})")
     if len(buf.samples) == 0:
         return buf
-    sos = signal.butter(order, cutoff, btype="highpass", fs=buf.sample_rate, output="sos")
+    sos = signal.butter(HIGHPASS_ORDER, cutoff, btype="highpass", fs=buf.sample_rate, output="sos")
     out = signal.sosfiltfilt(sos, buf.samples)
     return replace(buf, samples=out)
 
@@ -162,6 +165,17 @@ def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.n
 def _blocks(n: int):
     """Slices of BLOCK_FRAMES rows covering range(n)."""
     return (slice(i, min(i + BLOCK_FRAMES, n)) for i in range(0, n, BLOCK_FRAMES))
+
+
+def _too_short_to_denoise(buf: AudioBuffer, cfg, frame_length: int = 2048) -> str | None:
+    """Why buf is too short for spectral subtraction (None if it is not): it needs more
+    samples than the noise profile window, and half a frame for a centred STFT."""
+    n = len(buf.samples)
+    if n <= round(cfg.noise_profile_window * buf.sample_rate):
+        return "buffer shorter than noise profile window"
+    if n < frame_length - frame_length // 2:
+        return "buffer shorter than half a frame"
+    return None
 
 
 def spectral_subtract(
@@ -188,10 +202,10 @@ def spectral_subtract(
     cleaned times exp(1j * angle(X)), as ShortTimeFFT.istft would.
     "quietest" mode makes one extra blocked pass for the frame energies.
     """
-    n_profile = int(round(cfg.noise_profile_window * buf.sample_rate))
     x = buf.samples
-    if len(x) <= n_profile:
-        raise ValueError("buffer shorter than noise profile window")
+    problem = _too_short_to_denoise(buf, cfg, frame_length)
+    if problem:
+        raise ValueError(problem)
     if not np.any(x):
         return buf
 
@@ -199,8 +213,6 @@ def spectral_subtract(
     # ShortTimeFFT supplies the frame range, the centring and the synthesis window
     sft = signal.ShortTimeFFT(win, hop=hop, fs=buf.sample_rate)
     m, mid = sft.m_num, sft.m_num_mid
-    if len(x) < m - mid:
-        raise ValueError("buffer shorter than half a frame")
     n_frames = sft.p_max(len(x)) - sft.p_min
     head = mid - sft.p_min * hop  # zeros before sample 0, so that row 0 is frame p_min
     padded = np.pad(x, (head, (n_frames - 1) * hop + m - head - len(x)))
@@ -211,6 +223,7 @@ def spectral_subtract(
         return fft.rfft(np.roll(frames[rows] * win, -mid, axis=1), axis=1)
 
     if cfg.noise_profile_mode == "leading":
+        n_profile = int(round(cfg.noise_profile_window * buf.sample_rate))
         chosen = np.arange(min(max(1, n_profile // hop), n_frames))
     else:
         energy = np.concatenate([(np.abs(spectra(b)) ** 2).sum(axis=1) for b in _blocks(n_frames)])
@@ -256,7 +269,7 @@ def preprocess(buf: AudioBuffer, cfg: PreprocessConfig | None = None) -> AudioBu
     out = resample(buf, cfg.target_rate)
     out = truncate(out, cfg.max_duration)
     out = preemphasis(out, cfg.preemphasis_alpha)
-    if cfg.denoise and len(out.samples) > cfg.noise_profile_window * out.sample_rate:
+    if cfg.denoise and not _too_short_to_denoise(out, cfg):
         out = spectral_subtract(out, cfg)
     out = highpass(out, cfg.highpass_cutoff)
     out = normalize(out)

@@ -9,7 +9,9 @@ from importlib import resources
 
 import numpy as np
 
-SECTION_ORDER = ("intro", "verse", "chorus", "bridge", "outro", "unknown")
+from .dsp import SECTION_LABELS
+
+SECTION_ORDER = SECTION_LABELS + ("unknown",)
 
 _HEADER_RE = re.compile(r"^\s*\[([^\]]+)\]\s*$")
 # strip everything except letters, digits, apostrophes and censoring asterisks
@@ -208,10 +210,6 @@ def rolling_mean(series, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be >= 1")
     x = np.asarray(series, dtype=float)
-    if window == 1:
-        return x.copy()
     if len(x) < window:
         return np.empty(0)
-    n = len(x) - window + 1
-    idx = np.arange(window)[None, :] + np.arange(n)[:, None]
-    return x[idx].mean(axis=1)
+    return np.lib.stride_tricks.sliding_window_view(x, window).mean(axis=1)

@@ -30,6 +30,8 @@ ENV_EMBED_URL = "DETOX_EMBED_URL"
 ENV_REWRITE_URL = "DETOX_REWRITE_URL"
 ENV_API_TOKEN = "DETOX_API_TOKEN"
 
+LENGTH_TOLERANCE = 0.2  # relative change in non-blank lines a rewrite makes without a warning
+
 DEFAULT_REWRITE_TEMPLATE = (
     "Rewrite the lyrics so that it is not abusive and make sure it has "
     "the same length and flow: [lyrics]"
@@ -224,13 +226,13 @@ class RewriteClient(_HttpProvider):
         return text
 
 
-def _check_length_contract(original: str, rewritten: str, tolerance: float = 0.2):
+def _check_length_contract(original: str, rewritten: str):
     n_in = len([l for l in original.splitlines() if l.strip()])
     n_out = len([l for l in rewritten.splitlines() if l.strip()])
-    if n_in and abs(n_out - n_in) / n_in > tolerance:
+    if n_in and abs(n_out - n_in) / n_in > LENGTH_TOLERANCE:
         warnings.warn(
             f"rewrite changed line count from {n_in} to {n_out} "
-            f"(> {tolerance:.0%}); length-and-flow contract likely broken"
+            f"(> {LENGTH_TOLERANCE:.0%}); length-and-flow contract likely broken"
         )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lyrics as lyr
 from .audio_io import AudioBuffer, PreprocessConfig, load_track, preprocess
-from .dsp import frame_rms, load_section_map, rms_stats, slice_sections, stft
+from .dsp import Spectrogram, frame_rms, load_section_map, rms_stats, slice_sections, stft
 from .voice import VoiceMetrics, radar_normalize, voice_report
 
 PLOT_KINDS = ("waveform", "spectrogram", "ngram", "radar", "similarity", "sentiment_sections")
@@ -24,6 +24,8 @@ PLOT_KINDS = ("waveform", "spectrogram", "ngram", "radar", "similarity", "sentim
 MAX_PLOT_FRAMES = 512
 MAX_PLOT_BINS = 256
 SPECTROGRAM_FMAX = 8192.0
+SPECTROGRAM_FRAME = 2048
+SPECTROGRAM_HOP = 512
 NGRAM_TOP_K = 10
 
 
@@ -59,7 +61,8 @@ def _decimate(arr: np.ndarray, limit: int) -> np.ndarray:
 def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     """Load, preprocess and measure one vocal stem; returns (buffer, result).
 
-    result holds "voice", "rms" and, given a sidecar, per-section RMS "sections".
+    result holds "voice", "rms" (both with the statistics of one RMS envelope),
+    that envelope decimated as "waveform" and, given a sidecar, per-section RMS "sections".
     """
     try:
         raw = load_track(stem)
@@ -75,7 +78,16 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
         metrics = voice_report(buf)
     except Exception as exc:
         raise StageError("stage 5 (voice metrics)", str(exc)) from exc
-    result = {"voice": metrics.as_dict(), "rms": dict(metrics.rms)}
+    series = frame_rms(buf)
+    rms = rms_stats(series)
+    result = {
+        "voice": {**asdict(metrics), "rms": rms},
+        "rms": dict(rms),
+        "waveform": {
+            "times": _decimate(series.frame_times, MAX_PLOT_FRAMES).tolist(),
+            "rms": _decimate(series.values, MAX_PLOT_FRAMES).tolist(),
+        },
+    }
     if sections:
         result["sections"] = [
             {"label": label, "rms": rms_stats(frame_rms(piece)) if len(piece.samples) else None}
@@ -85,22 +97,18 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
 
 
 def _plot_data(buf: AudioBuffer) -> dict:
-    """Decimated waveform (RMS envelope) and spectrogram payloads of one buffer."""
-    try:
-        series = frame_rms(buf)
-        spec = stft(buf)
-    except Exception as exc:
-        raise StageError("stage 5 (voice metrics)", str(exc)) from exc
+    """Decimated spectrogram payload of one buffer; one shorter than a frame has no frames."""
+    if len(buf.samples) < SPECTROGRAM_FRAME:
+        empty = np.empty((0, SPECTROGRAM_FRAME // 2 + 1))
+        spec = Spectrogram(empty, SPECTROGRAM_FRAME, SPECTROGRAM_HOP, buf.sample_rate)
+    else:
+        spec = stft(buf, SPECTROGRAM_FRAME, SPECTROGRAM_HOP)
     mags_db = spec.to_db()
     freqs = spec.frequencies
     fmask = freqs <= SPECTROGRAM_FMAX
     t_idx = _decimate(np.arange(mags_db.shape[0]), MAX_PLOT_FRAMES)
     f_idx = _decimate(np.flatnonzero(fmask), MAX_PLOT_BINS)
     return {
-        "waveform": {
-            "times": _decimate(series.frame_times, MAX_PLOT_FRAMES).tolist(),
-            "rms": _decimate(series.values, MAX_PLOT_FRAMES).tolist(),
-        },
         "spectrogram": {
             "times": spec.frame_times[t_idx].tolist(),
             "frequencies": freqs[f_idx].tolist(),
@@ -163,10 +171,8 @@ def build_comparison(original: dict, transformed: dict) -> dict:
         sentiment_decrease = lyr.percent_decrease(orig_mean, trans_mean)
 
     radar = None
-    if all(ov.get(n) is not None and tv.get(n) is not None for n in VoiceMetrics.METRIC_NAMES):
-        om = VoiceMetrics(ov["hnr_db"], ov["cpp"], ov["jitter"], ov["shimmer"], 0.0)
-        tm = VoiceMetrics(tv["hnr_db"], tv["cpp"], tv["jitter"], tv["shimmer"], 0.0)
-        radar = {k: list(v) for k, v in radar_normalize([(om, tm)])[0].items()}
+    if None not in deltas.values():
+        radar = {k: list(v) for k, v in radar_normalize([(ov, tv)])[0].items()}
 
     return {
         "voice_deltas": deltas,

@@ -7,14 +7,20 @@ extracted with the pitch track as a guide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer, _blocks, _frames
-from .dsp import frame_rms, rms_stats
+from .dsp import frame_rms
 
 HNR_CAP_DB = 40.0
+HNR_FRAME_LENGTH = 4096  # halved, down to 1024, while longer than the buffer
+HNR_HARMONIC_HALFWIDTH_BINS = 2.0  # bins either side of h * f0 counted as harmonic
+CPP_FRAME_LENGTH = 2048
+CPP_HOP = 1024
+CPP_F_SEARCH = (60.0, 330.0)  # Hz; the f0 band whose quefrencies hold the cepstral peak
+CPP_ENERGY_GATE = 1e-4  # frames with a lower mean-removed RMS are skipped
 
 
 @dataclass(frozen=True)
@@ -63,26 +69,15 @@ class PeriodSequence:
 
 @dataclass(frozen=True)
 class VoiceMetrics:
-    """Per-track voice report. Pitch-dependent fields are None when absent."""
+    """Per-track voice quality. Pitch-dependent fields are None when absent."""
 
     hnr_db: float | None
     cpp: float | None
     jitter: float | None
     shimmer: float | None
     voiced_fraction: float
-    rms: dict = field(default_factory=dict)
 
     METRIC_NAMES = ("hnr_db", "cpp", "jitter", "shimmer")
-
-    def as_dict(self) -> dict:
-        return {
-            "hnr_db": self.hnr_db,
-            "cpp": self.cpp,
-            "jitter": self.jitter,
-            "shimmer": self.shimmer,
-            "voiced_fraction": self.voiced_fraction,
-            "rms": dict(self.rms),
-        }
 
 
 def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
@@ -228,18 +223,13 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
     return PeriodSequence(np.asarray(periods), np.asarray(amplitudes))
 
 
-def hnr(
-    buf: AudioBuffer,
-    track: PitchTrack,
-    frame_length: int = 4096,
-    harmonic_halfwidth_bins: float = 2.0,
-) -> float | None:
+def hnr(buf: AudioBuffer, track: PitchTrack) -> float | None:
     """Mean harmonics-to-noise ratio in dB over voiced frames.
 
-    Each voiced frame starts at its frame time and spans frame_length
+    Each voiced frame starts at its frame time and spans HNR_FRAME_LENGTH
     samples (halved, down to 1024, while longer than the buffer); frames
     are taken in track order up to the first one that runs past the end of
-    the buffer. Per frame, spectral energy within +/- harmonic_halfwidth_bins
+    the buffer. Per frame, spectral energy within +/- HNR_HARMONIC_HALFWIDTH_BINS
     of each multiple of f0 counts as harmonic; the remainder is noise.
     Frames are capped at HNR_CAP_DB before averaging.
     """
@@ -247,15 +237,15 @@ def hnr(
         return None
     sr = buf.sample_rate
     x = buf.samples
+    frame_length = HNR_FRAME_LENGTH
     while frame_length > len(x) and frame_length > 1024:
         frame_length //= 2
     win = np.hanning(frame_length)
     bins = np.arange(frame_length // 2 + 1)
-    # interior bins of the rfft carry both positive and negative freqs
+    # interior bins of the rfft carry both positive and negative freqs; the
+    # frame length is even, so the last bin is the Nyquist bin
     weights = np.full(len(bins), 2.0)
-    weights[0] = 1.0
-    if frame_length % 2 == 0:
-        weights[-1] = 1.0
+    weights[[0, -1]] = 1.0
 
     ks = np.flatnonzero(track.voiced_flags)
     start = (track.frame_times[ks] * sr).astype(int)
@@ -269,7 +259,8 @@ def hnr(
         n_harm = (frame_length / 2) // f0_bin
         # a bin is harmonic when the nearest multiple h * f0, 1 <= h <= n_harm, is close
         nearest = np.clip(np.round(bins / f0_bin), 1, np.maximum(n_harm, 1))
-        harmonic_mask = (np.abs(bins - nearest * f0_bin) <= harmonic_halfwidth_bins) & (n_harm >= 1)
+        near = np.abs(bins - nearest * f0_bin) <= HNR_HARMONIC_HALFWIDTH_BINS
+        harmonic_mask = near & (n_harm >= 1)
         e_harm = np.where(harmonic_mask, power, 0.0).sum(axis=1)
         e_noise = power.sum(axis=1) - e_harm
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,37 +273,27 @@ def hnr(
     return float(np.mean(values))
 
 
-def cpp(
-    buf: AudioBuffer,
-    frame_length: int = 2048,
-    hop: int = 1024,
-    f_search: tuple = (60.0, 330.0),
-    energy_gate: float = 1e-4,
-) -> float | None:
+def cpp(buf: AudioBuffer) -> float | None:
     """Mean cepstral peak prominence over frames that pass the energy gate.
 
     Per frame: real cepstrum of the dB power spectrum; the peak within the
-    quefrency band for f_search is measured against a least-squares line
-    over that band (Hillenbrand et al. 1994). Frames whose mean-removed RMS
-    is below energy_gate are skipped; a DC-only signal therefore reports no
-    CPP.
+    quefrency band for CPP_F_SEARCH is measured against a least-squares
+    line over that band (Hillenbrand et al. 1994). Frames whose mean-removed
+    RMS is below CPP_ENERGY_GATE are skipped; a DC-only signal therefore
+    reports no CPP. A buffer shorter than one frame raises ValueError.
     """
     sr = buf.sample_rate
-    x = buf.samples
-    if len(x) < frame_length:
-        raise ValueError("buffer shorter than one frame")
-    q_lo = int(np.floor(sr / f_search[1]))
-    q_hi = int(np.ceil(sr / f_search[0]))
-    q_hi = min(q_hi, frame_length - 1)
-    win = np.hanning(frame_length)
+    frames = _frames(buf.samples, CPP_FRAME_LENGTH, CPP_HOP)
+    q_lo = int(np.floor(sr / CPP_F_SEARCH[1]))
+    q_hi = min(int(np.ceil(sr / CPP_F_SEARCH[0])), CPP_FRAME_LENGTH - 1)
+    win = np.hanning(CPP_FRAME_LENGTH)
     q = np.arange(q_lo, q_hi + 1, dtype=float)
     q_dev = q - q.mean()
-    frames = _frames(x, frame_length, hop)
     values = []
     for b in _blocks(len(frames)):
         frame = frames[b]
         ac = frame - frame.mean(axis=1, keepdims=True)
-        frame = frame[~(np.sqrt((ac**2).mean(axis=1)) < energy_gate)]  # a NaN frame is kept
+        frame = frame[~(np.sqrt((ac**2).mean(axis=1)) < CPP_ENERGY_GATE)]  # a NaN frame is kept
         spec = np.abs(np.fft.rfft(frame * win)) ** 2
         log_spec = 10 * np.log10(spec + 1e-12)
         band = np.fft.irfft(log_spec)[:, q_lo : q_hi + 1]
@@ -346,13 +327,9 @@ def shimmer(seq: PeriodSequence) -> float:
 
 
 def voice_report(buf: AudioBuffer) -> VoiceMetrics:
-    """Full per-track voice metrics. Absent metrics stay None, never zero."""
-    try:
-        rms = rms_stats(frame_rms(buf))
-    except ValueError:
-        rms = {"avg": 0.0, "max": 0.0, "min": 0.0}
+    """Per-track voice quality metrics. Absent metrics stay None, never zero."""
     if buf.silent or not np.any(buf.samples):
-        return VoiceMetrics(None, None, None, None, 0.0, {"avg": 0.0, "max": 0.0, "min": 0.0})
+        return VoiceMetrics(None, None, None, None, 0.0)
     track = estimate_f0(buf)
     hnr_val = hnr(buf, track)
     try:
@@ -367,15 +344,15 @@ def voice_report(buf: AudioBuffer) -> VoiceMetrics:
             shimmer_val = shimmer(seq)
         except ValueError:
             pass
-    return VoiceMetrics(hnr_val, cpp_val, jitter_val, shimmer_val, track.voiced_fraction, rms)
+    return VoiceMetrics(hnr_val, cpp_val, jitter_val, shimmer_val, track.voiced_fraction)
 
 
 def radar_normalize(pairs: list) -> list:
     """Min-max normalize metric pairs onto [0, 1] per axis for radar plots.
 
-    Input: list of (original VoiceMetrics, transformed VoiceMetrics).
-    Output: list of dicts {metric: (orig_norm, trans_norm)}. A constant
-    axis maps to 0.5 everywhere. Absent metrics raise.
+    Input: list of (original, transformed) voice dicts, as in a report's
+    audio.voice. Output: list of dicts {metric: (orig_norm, trans_norm)}. A
+    constant axis maps to 0.5 everywhere. Absent metrics raise.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -383,7 +360,7 @@ def radar_normalize(pairs: list) -> list:
     for name in VoiceMetrics.METRIC_NAMES:
         values = []
         for orig, trans in pairs:
-            ov, tv = getattr(orig, name), getattr(trans, name)
+            ov, tv = orig.get(name), trans.get(name)
             if ov is None or tv is None:
                 raise ValueError(f"absent metric {name} in radar input")
             values.extend([ov, tv])
@@ -392,8 +369,5 @@ def radar_normalize(pairs: list) -> list:
             if hi == lo:
                 out[i][name] = (0.5, 0.5)
             else:
-                out[i][name] = (
-                    (getattr(orig, name) - lo) / (hi - lo),
-                    (getattr(trans, name) - lo) / (hi - lo),
-                )
+                out[i][name] = ((orig[name] - lo) / (hi - lo), (trans[name] - lo) / (hi - lo))
     return out

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,28 @@ class TestPreprocess:
     def test_noise_profile_window_finite_and_non_negative(self, window):
         with pytest.raises(ValueError, match="noise_profile_window"):
             PreprocessConfig(noise_profile_window=window)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_max_duration_finite_and_non_negative(self, seconds):
+        with pytest.raises(ValueError, match="max_duration"):
+            PreprocessConfig(max_duration=seconds)
+
+    # 0.50003 s at 22.05 kHz is 11025.66 samples, which round to 11026; with
+    # no profile window the limit is half a 2048-sample frame
+    @pytest.mark.parametrize("window, n, accepted", [
+        (0.50003, 11025, False), (0.50003, 11026, False), (0.50003, 11027, True),
+        (0.0, 500, False), (0.0, 1024, True),
+    ])
+    def test_denoises_exactly_when_spectral_subtract_accepts(self, window, n, accepted):
+        cfg = PreprocessConfig(noise_profile_window=window)
+        buf = buffer(make_noise(1.0, seed=21)[:n])
+        if accepted:
+            spectral_subtract(buf, cfg)
+        else:
+            with pytest.raises(ValueError, match="buffer shorter than"):
+                spectral_subtract(buf, cfg)
+        plain = preprocess(buf, replace(cfg, denoise=False))
+        assert np.array_equal(preprocess(buf, cfg).samples, plain.samples) != accepted
 
     def test_deterministic(self):
         sig = make_tone(440, 3.0) + 0.1 * make_noise(3.0, seed=9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detoxaudit import (
     clean_tokens,
@@ -280,3 +282,28 @@ class TestRollingMean:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             rolling_mean([1.0], 0)
+
+    @staticmethod
+    def index_matrix_mean(x, window):
+        """Oracle: the mean of each row of an index matrix over x."""
+        x = np.asarray(x, dtype=float)
+        if window == 1:
+            return x.copy()
+        if len(x) < window:
+            return np.empty(0)
+        n = len(x) - window + 1
+        idx = np.arange(window)[None, :] + np.arange(n)[:, None]
+        return x[idx].mean(axis=1)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        x=st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=60),
+        window=st.integers(1, 10),
+    )
+    def test_equals_index_matrix_bit_for_bit(self, x, window):
+        got, want = rolling_mean(x, window), self.index_matrix_mean(x, window)
+        if window == 1:
+            # the oracle copies x, keeping a -0.0, where the mean of a lone -0.0 is +0.0
+            want = want + 0.0
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

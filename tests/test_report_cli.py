@@ -103,6 +103,21 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(orig, trans)
 
+    def test_all_zero_stem_reports_zero_rms_and_no_metrics(self, fixture_pair):
+        zero = str(write_wav(fixture_pair["tmp_path"] / "zero.wav", np.zeros(44100)))
+        orig, trans = bundles(fixture_pair)
+        report = run_pipeline(
+            TrackBundle(zero, orig.lyrics, "fixture"), TrackBundle(zero, trans.lyrics, "fixture"),
+            classifier=StubSentimentClassifier(), embedder=StubEmbedder(),
+        )
+        for side in ("original", "transformed"):
+            audio = report[side]["audio"]
+            assert audio["rms"] == audio["voice"]["rms"] == {"avg": 0.0, "max": 0.0, "min": 0.0}
+            assert set(audio["waveform"]["rms"]) == {0.0}
+            for name in ("hnr_db", "cpp", "jitter", "shimmer"):
+                assert audio["voice"][name] is None
+        assert report["comparison"]["radar"] is None
+
     def test_identical_lyrics_similarity_one(self, fixture_pair):
         orig, trans = bundles(fixture_pair)
         same = TrackBundle(trans.vocal_stem, orig.lyrics, "fixture")
@@ -253,6 +268,33 @@ class TestCli:
         cfg_path.write_text('{"noise_profile_window": NaN}')  # json.loads takes a bare NaN
         assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
         assert "noise_profile_window" in capsys.readouterr().err
+
+    def test_negative_max_seconds_exit_code_1(self, voiced_wav, capsys):
+        assert main(["analyze-audio", str(voiced_wav), "--max-seconds", "-1"]) == 1
+        assert "max_duration must be finite and >= 0" in capsys.readouterr().err
+
+    def test_compare_stem_shorter_than_one_frame(self, fixture_pair, capsys):
+        # 70 ms at 22.05 kHz: 1543 samples, under one 2048-sample spectrogram frame
+        short = write_wav(fixture_pair["tmp_path"] / "short.wav", 0.5 * make_harmonic(220, seconds=0.07))
+        assert main(["analyze-audio", str(short)]) == 0
+        voice = json.loads(capsys.readouterr().out)
+        out_path = fixture_pair["tmp_path"] / "report.json"
+        code = main([
+            "compare",
+            "--original-stem", str(short),
+            "--original-lyrics", str(fixture_pair["orig_lyrics"]),
+            "--transformed-stem", str(fixture_pair["trans_stem"]),
+            "--transformed-lyrics", str(fixture_pair["trans_lyrics"]),
+            "--out", str(out_path),
+            "--offline",
+            "--emit", "spectrogram,waveform",
+        ])
+        assert code == 0
+        audio = load_report(out_path)["original"]["audio"]
+        assert audio["voice"] == voice
+        assert audio["spectrogram"]["times"] == audio["spectrogram"]["db"] == []
+        assert audio["spectrogram"]["frequencies"]
+        assert len(audio["waveform"]["rms"]) == 1
 
     @pytest.mark.parametrize("flag", ["--target-rate", "--max-seconds"])
     def test_zero_preprocessing_flag_exit_code_1(self, voiced_wav, capsys, flag):

@@ -5,7 +5,6 @@ from detoxaudit import (
     PeriodSequence,
     PitchConfig,
     PitchTrack,
-    VoiceMetrics,
     cpp,
     estimate_f0,
     extract_periods,
@@ -228,7 +227,6 @@ class TestVoiceReport:
         assert metrics.cpp is None
         assert metrics.jitter is None
         assert metrics.shimmer is None
-        assert metrics.rms == {"avg": 0.0, "max": 0.0, "min": 0.0}
 
     def test_deterministic(self):
         sig = make_harmonic(220, seconds=2.0)
@@ -239,7 +237,7 @@ class TestVoiceReport:
 
 class TestRadarNormalize:
     def _metrics(self, h, c, j, s):
-        return VoiceMetrics(h, c, j, s, 1.0)
+        return {"hnr_db": h, "cpp": c, "jitter": j, "shimmer": s, "voiced_fraction": 1.0}
 
     def test_single_pair_maps_to_extremes(self):
         pair = (self._metrics(3.06, 19.5, 0.0168, 0.131),

@@ -13,7 +13,7 @@ jitter, shimmer and the voiced fraction are ratios, so scaling the stem by
 test_cpp_depends_on_level.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -190,7 +190,7 @@ SCALE_INVARIANT = ("hnr_db", "jitter", "shimmer", "voiced_fraction")
 def scaled_reports(buf, scale):
     stem = preprocess(buf)
     scaled = replace(stem, samples=stem.samples * scale)
-    return voice_report(stem).as_dict(), voice_report(scaled).as_dict()
+    return asdict(voice_report(stem)), asdict(voice_report(scaled))
 
 
 @st.composite
