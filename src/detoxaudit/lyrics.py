@@ -151,7 +151,10 @@ def standardize_sentiment(label: str, score: float) -> float:
 
 def score_document(doc: LyricDoc, classifier) -> list:
     """One SentimentScore per line, in order. Raw line text is sent to the
-    classifier (cleaning is for n-grams only); the classifier caches by text."""
+    classifier (cleaning is for n-grams only); the classifier caches by text.
+    A classifier with ``prefetch`` fetches the lines first, concurrently."""
+    if hasattr(classifier, "prefetch"):
+        classifier.prefetch(doc.lines)
     scores = []
     for line in doc.lines:
         label, score = classifier.classify(line)
@@ -187,12 +190,16 @@ def percent_decrease(original_mean: float, transformed_mean: float) -> float:
 def line_similarity(
     orig: LyricDoc, trans: LyricDoc, embedder, window: int = 5
 ) -> SimilaritySeries:
-    """Cosine similarity of per-line embeddings, paired by line index."""
+    """Cosine similarity of per-line embeddings, paired by line index.
+    An embedder with ``prefetch`` fetches the paired lines first, concurrently."""
     if len(orig) == 0 or len(trans) == 0:
         raise ValueError("both documents must be non-empty")
     n = min(len(orig), len(trans))
+    a_lines, b_lines = orig.lines[:n], trans.lines[:n]
+    if hasattr(embedder, "prefetch"):
+        embedder.prefetch(a_lines + b_lines)
     sims = np.empty(n)
-    for i, (a, b) in enumerate(zip(orig.lines[:n], trans.lines[:n])):
+    for i, (a, b) in enumerate(zip(a_lines, b_lines)):
         va = np.asarray(embedder.embed(a), dtype=float)
         vb = np.asarray(embedder.embed(b), dtype=float)
         if not (np.isfinite(va).all() and np.isfinite(vb).all()):

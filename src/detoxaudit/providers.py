@@ -6,7 +6,9 @@ LLM lyric rewriting. All speak the same minimal protocol: POST
 ``{"vector": [...]}`` and ``{"text": "..."}`` respectively. Each client
 retries transient failures with exponential backoff and caches the
 responses that meet its contract on disk, keyed by (provider, model, input
-hash). All but the stub rewriter memoize their results by input text.
+hash). All but the stub rewriter memoize their results by input text. An
+HTTP client fetches a batch of texts (``prefetch``) through a fixed pool
+of FETCH_WORKERS threads; the stubs compute serially.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -30,6 +34,7 @@ ENV_EMBED_URL = "DETOX_EMBED_URL"
 ENV_REWRITE_URL = "DETOX_REWRITE_URL"
 ENV_API_TOKEN = "DETOX_API_TOKEN"
 
+FETCH_WORKERS = 4  # requests in flight per HTTP client during a prefetch
 LENGTH_TOLERANCE = 0.2  # relative change in non-blank lines a rewrite makes without a warning
 
 DEFAULT_REWRITE_TEMPLATE = (
@@ -113,7 +118,35 @@ class _HttpProvider(_Provider):
     def __init__(self, cfg: ProviderConfig):
         super().__init__()
         self.cfg = cfg
-        self.last_retries = 0
+        self.retries = 0  # retry attempts over the client's lifetime
+
+    def prefetch(self, texts):
+        """Fetch the memo misses among texts, FETCH_WORKERS at a time.
+
+        Each distinct miss is requested once. Once a fetch fails, no further
+        text is started; the error of the earliest failing text in the
+        order given is raised, after every pool thread has finished.
+        """
+        with self._lock:
+            misses = [t for t in dict.fromkeys(texts) if t not in self._memo]
+        stop = threading.Event()
+
+        def fetch(text):
+            if stop.is_set():
+                return
+            try:
+                self._memoized(text, self._request)
+            except BaseException:
+                stop.set()
+                raise
+
+        pool = ThreadPoolExecutor(FETCH_WORKERS, thread_name_prefix=f"{self.name}-fetch")
+        try:
+            futures = [pool.submit(fetch, t) for t in misses]
+            for future in futures:
+                future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def _cache_path(self, key: str) -> Path | None:
         if not self.cfg.cache_dir:
@@ -138,11 +171,11 @@ class _HttpProvider(_Provider):
         if self.cfg.auth_token:
             headers["Authorization"] = f"Bearer {self.cfg.auth_token}"
         last_error = None
-        self.last_retries = 0
         for attempt in range(self.cfg.max_retries + 1):
             if attempt > 0:
                 time.sleep(self.cfg.backoff_base * 2 ** (attempt - 1))
-                self.last_retries = attempt
+                with self._lock:
+                    self.retries += 1
             try:
                 resp = requests.post(
                     self.cfg.endpoint,
@@ -164,13 +197,24 @@ class _HttpProvider(_Provider):
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
             value = self._parse(payload)
             if path is not None:
-                tmp = path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
-                tmp.replace(path)
+                _write_atomic(path, json.dumps(payload, sort_keys=True))
             return value
         raise ProviderError(
             f"{self.name}: giving up after {self.cfg.max_retries + 1} attempts: {last_error}"
         )
+
+
+def _write_atomic(path: Path, text: str):
+    """Publish text at path through a temp file of this writer's own, so that
+    concurrent writers of one key never tear or steal each other's file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 class SentimentClient(_HttpProvider):

@@ -244,7 +244,7 @@ def test_criterion_8_provider_fault_injection():
         cfg = ProviderConfig(endpoint=flaky.url, timeout=2.0, max_retries=3, backoff_base=0.1)
         client = SentimentClient(cfg)
         assert client.classify("hello there") == ("POSITIVE", 0.9)
-        assert client.last_retries == 2
+        assert client.retries == 2
         assert flaky.requests_seen == 3
     finally:
         flaky.close()

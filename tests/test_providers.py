@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 import time
@@ -19,25 +20,46 @@ from detoxaudit import (
     StubEmbedder,
     StubRewriter,
     StubSentimentClassifier,
+    line_similarity,
+    parse_lyrics,
+    score_document,
 )
+from detoxaudit.providers import FETCH_WORKERS
 
 
 class MockProvider:
-    """Local HTTP endpoint with a programmable failure budget."""
+    """Local HTTP endpoint with a programmable failure budget.
 
-    def __init__(self, response, fail_first=0, status_on_fail=503):
+    requests_seen counts the POSTs; peak_in_flight is the most POSTs
+    handled at once, each counted until its response is about to be sent
+    (after an optional delay_s), so that a client's next request never
+    overlaps its last one in the count.
+    """
+
+    def __init__(self, response, fail_first=0, status_on_fail=503, delay_s=0.0):
         self.response = response
         self.fail_first = fail_first
         self.status_on_fail = status_on_fail
+        self.delay_s = delay_s
         self.requests_seen = 0
+        self.peak_in_flight = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                outer.requests_seen += 1
+                with outer._lock:
+                    outer.requests_seen += 1
+                    seen = outer.requests_seen
+                    outer._in_flight += 1
+                    outer.peak_in_flight = max(outer.peak_in_flight, outer._in_flight)
                 length = int(self.headers.get("Content-Length", 0))
                 self.rfile.read(length)
-                if outer.requests_seen <= outer.fail_first:
+                time.sleep(outer.delay_s)
+                with outer._lock:
+                    outer._in_flight -= 1
+                if seen <= outer.fail_first:
                     self.send_response(outer.status_on_fail)
                     self.end_headers()
                     return
@@ -101,7 +123,7 @@ class TestSentimentClient:
         server = mock_provider({"label": "POSITIVE", "score": 0.9}, fail_first=2)
         client = SentimentClient(fast_cfg(server.url))
         assert client.classify("hello") == ("POSITIVE", 0.9)
-        assert client.last_retries == 2
+        assert client.retries == 2
         assert server.requests_seen == 3
 
     def test_permanent_failure_exhausts_budget(self, mock_provider):
@@ -174,6 +196,101 @@ class TestSentimentClient:
         assert client.classify("hello") == ("POSITIVE", 0.9)
         assert server.requests_seen == 2
         assert json.loads(cached.read_text()) == {"label": "POSITIVE", "score": 0.9}
+
+    def test_two_writers_of_one_key_both_succeed(self, mock_provider, tmp_path, monkeypatch):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        cache = tmp_path / "cache"
+        cfg = fast_cfg(server.url, cache_dir=str(cache))
+        # both writers reach the rename with their payload written before either renames
+        barrier = threading.Barrier(2, timeout=5)
+        replace = os.replace
+
+        def replace_after_both_wrote(src, dst):
+            if os.path.dirname(os.fspath(dst)) == str(cache):
+                barrier.wait()
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_both_wrote)
+        results, errors = [], []
+
+        def write():
+            try:
+                results.append(SentimentClient(cfg).classify("hello"))
+            except Exception as exc:  # noqa: BLE001 - the assertion below reports it
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write) for _ in range(2)]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=10)
+        assert not any(w.is_alive() for w in writers)
+        assert errors == []
+        assert results == [("POSITIVE", 0.9)] * 2
+        assert server.requests_seen == 2
+        assert [p.suffix for p in cache.iterdir()] == [".json"]
+        assert SentimentClient(cfg).classify("hello") == ("POSITIVE", 0.9)
+        assert server.requests_seen == 2
+
+
+def fetch_threads():
+    """Live prefetch pool threads. Counted by name: the loopback servers'
+    handler threads may still be closing their sockets when a call returns."""
+    return [t for t in threading.enumerate() if "-fetch" in t.name]
+
+
+class TestPrefetch:
+    def test_keeps_at_most_fetch_workers_in_flight(self, mock_provider):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9}, delay_s=0.02)
+        client = SentimentClient(fast_cfg(server.url))
+        texts = [f"line {i}" for i in range(20)]
+        client.prefetch(texts)
+        assert 2 <= server.peak_in_flight <= FETCH_WORKERS
+        assert server.requests_seen == len(texts)
+        assert all(client.classify(t) == ("POSITIVE", 0.9) for t in texts)
+        assert server.requests_seen == len(texts)
+        assert fetch_threads() == []
+
+    def test_fetches_each_distinct_miss_once(self, mock_provider):
+        server = mock_provider({"vector": [3.0, 4.0]})
+        client = EmbeddingClient(fast_cfg(server.url))
+        client.embed("b")
+        client.prefetch(["a", "b", "a", "c", "c", "b"])
+        assert server.requests_seen == 3
+        client.prefetch(["c", "a"])
+        assert server.requests_seen == 3
+
+    @pytest.mark.parametrize("failures, n_texts", [(3, 20), (40, 40)])
+    def test_retries_counted_across_pool_threads(self, mock_provider, failures, n_texts):
+        # every failed request is retried once, whichever thread made it; no text
+        # can use up a budget of `failures` retries
+        server = mock_provider({"label": "POSITIVE", "score": 0.9}, fail_first=failures)
+        client = SentimentClient(fast_cfg(server.url, max_retries=failures, backoff_base=0.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            client.prefetch([f"line {i}" for i in range(n_texts)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert client.retries == failures
+        assert server.requests_seen == n_texts + failures
+
+    def test_failure_costs_one_retry_budget(self, mock_provider):
+        server = mock_provider({}, fail_first=10**9)
+        cfg = fast_cfg(server.url, max_retries=2)
+        client = SentimentClient(cfg)
+        with pytest.raises(ProviderError, match="giving up"):
+            client.prefetch([f"line {i}" for i in range(40)])
+        assert server.requests_seen <= FETCH_WORKERS * (cfg.max_retries + 1)
+        assert fetch_threads() == []
+
+    def test_raises_error_of_earliest_failing_text(self, stub_server):
+        client = EmbeddingClient(fast_cfg(stub_server + "embedding"))
+        # the first text fails last: the error raised follows the text order, not the clock
+        texts = ["slow bad first", "a", "b", "bad second", "c", "d"]
+        with pytest.raises(ProviderError, match="slow bad first"):
+            client.prefetch(texts)
+        assert fetch_threads() == []
 
 
 class TestEmbeddingClient:
@@ -296,6 +413,68 @@ class TestStubs:
 def texts_with_repeats(draw):
     pool = draw(st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=6))
     return draw(st.lists(st.sampled_from(pool), max_size=24))
+
+
+STUB_DIMENSION = 16
+
+
+@pytest.fixture(scope="module")
+def stub_server():
+    """Base URL of a loopback service answering ``sentiment`` and ``embedding``
+    from the offline stubs. An embedding input containing "bad" gets an
+    out-of-contract answer that quotes it, one containing "slow" waits 0.2 s."""
+    classifier, embedder = StubSentimentClassifier(), StubEmbedder(STUB_DIMENSION)
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["input"]
+            if self.path.endswith("sentiment"):
+                label, score = classifier.classify(text)
+                payload = {"label": label, "score": score}
+            else:
+                time.sleep(0.2 if "slow" in text else 0.0)
+                vector = [] if "bad" in text else embedder.embed(text).tolist()
+                payload = {"vector": vector, "input": text}
+            body = json.dumps(payload).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    yield f"http://{host}:{port}/"
+    server.shutdown()
+    server.server_close()
+
+
+@st.composite
+def lyric_docs_with_repeats(draw):
+    pool = draw(st.lists(
+        st.text(alphabet="abcxyz !'", min_size=1, max_size=10).filter(str.strip),
+        min_size=1, max_size=6,
+    ))
+    lines = draw(st.lists(st.sampled_from(pool + ["[Chorus]"]), min_size=1, max_size=30))
+    return parse_lyrics("\n".join(["first line"] + lines))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(orig=lyric_docs_with_repeats(), trans=lyric_docs_with_repeats())
+def test_http_clients_match_stubs_on_lyric_docs(stub_server, orig, trans):
+    classifier = SentimentClient(fast_cfg(stub_server + "sentiment"))
+    embedder = EmbeddingClient(fast_cfg(stub_server + "embedding"))
+    stub_classifier, stub_embedder = StubSentimentClassifier(), StubEmbedder(STUB_DIMENSION)
+    for doc in (orig, trans):
+        assert score_document(doc, classifier) == score_document(doc, stub_classifier)
+    got = line_similarity(orig, trans, embedder).per_line
+    want = line_similarity(orig, trans, stub_embedder).per_line
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None, database=None)
