@@ -12,8 +12,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import fft, signal
-from scipy.io import wavfile
+
+# SciPy is imported inside the functions that call it, so that a lyric-only
+# run never pays its start-up time or memory
 
 # frames per step of every framed kernel (spectral subtraction, RMS, f0, HNR,
 # CPP); at 4096-sample HNR frames a block's complex spectrum takes 2 MiB and
@@ -77,6 +78,8 @@ def load_track(path) -> AudioBuffer:
     Multichannel input is averaged to mono; the file's sample rate is kept.
     A float file holding any NaN or infinite sample is rejected.
     """
+    from scipy.io import wavfile
+
     path = Path(path)
     if not path.exists():
         raise AudioLoadError(f"cannot read audio file: {path}")
@@ -109,6 +112,8 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         raise ValueError("target_rate must be positive")
     if buf.sample_rate == target_rate:
         return buf
+    from scipy import signal
+
     ratio = Fraction(target_rate, buf.sample_rate)
     out = signal.resample_poly(buf.samples, ratio.numerator, ratio.denominator)
     return replace(buf, samples=out, sample_rate=target_rate)
@@ -141,6 +146,8 @@ def highpass(buf: AudioBuffer, cutoff: float = 100.0) -> AudioBuffer:
         raise ValueError(f"cutoff must be in (0, {nyquist})")
     if len(buf.samples) == 0:
         return buf
+    from scipy import signal
+
     sos = signal.butter(HIGHPASS_ORDER, cutoff, btype="highpass", fs=buf.sample_rate, output="sos")
     out = signal.sosfiltfilt(sos, buf.samples)
     return replace(buf, samples=out)
@@ -208,6 +215,7 @@ def spectral_subtract(
         raise ValueError(problem)
     if not np.any(x):
         return buf
+    from scipy import fft, signal
 
     win = signal.get_window("hann", frame_length)
     # ShortTimeFFT supplies the frame range, the centring and the synthesis window

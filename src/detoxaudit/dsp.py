@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .audio_io import AudioBuffer, _blocks, _frames
 
@@ -67,6 +66,8 @@ def stft(
     """Magnitude spectrogram of the buffer, frames x (frame_length//2 + 1) bins."""
     if hop > frame_length:
         raise ValueError("hop must not exceed frame_length")
+    from scipy import signal
+
     frames = _frames(buf.samples, frame_length, hop)
     mags = np.abs(np.fft.rfft(frames * signal.get_window(window, frame_length), axis=1))
     return Spectrogram(mags, frame_length, hop, buf.sample_rate)

@@ -20,7 +20,8 @@ HNR_HARMONIC_HALFWIDTH_BINS = 2.0  # bins either side of h * f0 counted as harmo
 CPP_FRAME_LENGTH = 2048
 CPP_HOP = 1024
 CPP_F_SEARCH = (60.0, 330.0)  # Hz; the f0 band whose quefrencies hold the cepstral peak
-CPP_ENERGY_GATE = 1e-4  # frames with a lower mean-removed RMS are skipped
+CPP_ENERGY_GATE = 1e-4  # relative to max|x|: frames with a lower mean-removed RMS are skipped
+CPP_POWER_FLOOR = 1e-12  # relative to max|x|**2: added to each power spectrum before the dB
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class PitchTrack:
     frame_times: np.ndarray
     f0: np.ndarray  # Hz; NaN where unvoiced
     voiced_flags: np.ndarray
-    confidence: np.ndarray
 
     @property
     def voiced_fraction(self) -> float:
@@ -103,13 +103,12 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
 
     x = buf.samples
     if len(x) < frame_len:
-        return PitchTrack(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), np.empty(0))
+        return PitchTrack(np.empty(0), np.empty(0), np.zeros(0, dtype=bool))
 
     rms = frame_rms(buf, frame_len, hop)
     n_frames = len(rms.values)
     f0 = np.full(n_frames, np.nan)
     voiced = np.zeros(n_frames, dtype=bool)
-    conf = np.zeros(n_frames)
     frames = _frames(x, frame_len, hop)
     gate = cfg.silence_gate * (rms.values.max() if rms.values.max() > 0 else 1.0)
 
@@ -132,7 +131,6 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
             r = np.where(norm > 0, full[:, lag_min : lag_min + n_lags] / norm, 0.0)
         best = r.max(axis=1)
         weak = best < cfg.voicing_threshold
-        conf[ks[weak]] = np.maximum(best[weak], 0.0)
 
         rows = np.arange(len(ks))
         # earliest lag nearly as good as the global best beats octave errors
@@ -151,13 +149,11 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
         with np.errstate(divide="ignore", invalid="ignore"):
             offset = np.where(interior, 0.5 * (y0 - y2) / denom, 0.0)
             freq = sr / (lags[i] + offset)
-        peak_val = np.where(interior, y1 - 0.25 * (y0 - y2) * offset, y1)
         ok = (energy > 0) & ~weak & (cfg.fmin <= freq) & (freq <= cfg.fmax)
         f0[ks[ok]] = freq[ok]
         voiced[ks[ok]] = True
-        conf[ks[ok]] = np.minimum(np.maximum(peak_val[ok], 0.0), 1.0)
 
-    return PitchTrack(rms.frame_times, f0, voiced, conf)
+    return PitchTrack(rms.frame_times, f0, voiced)
 
 
 def _rising_crossings(x: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -279,11 +275,16 @@ def cpp(buf: AudioBuffer) -> float | None:
     Per frame: real cepstrum of the dB power spectrum; the peak within the
     quefrency band for CPP_F_SEARCH is measured against a least-squares
     line over that band (Hillenbrand et al. 1994). Frames whose mean-removed
-    RMS is below CPP_ENERGY_GATE are skipped; a DC-only signal therefore
-    reports no CPP. A buffer shorter than one frame raises ValueError.
+    RMS is below CPP_ENERGY_GATE times the buffer's peak |x| are skipped; a
+    DC-only or all-zero signal therefore reports no CPP. The gate and the
+    power floor both scale with that peak, so CPP does not depend on the
+    level of the buffer. A buffer shorter than one frame raises ValueError.
     """
     sr = buf.sample_rate
     frames = _frames(buf.samples, CPP_FRAME_LENGTH, CPP_HOP)
+    level = np.max(np.abs(buf.samples))
+    if level == 0:
+        return None
     q_lo = int(np.floor(sr / CPP_F_SEARCH[1]))
     q_hi = min(int(np.ceil(sr / CPP_F_SEARCH[0])), CPP_FRAME_LENGTH - 1)
     win = np.hanning(CPP_FRAME_LENGTH)
@@ -293,9 +294,10 @@ def cpp(buf: AudioBuffer) -> float | None:
     for b in _blocks(len(frames)):
         frame = frames[b]
         ac = frame - frame.mean(axis=1, keepdims=True)
-        frame = frame[~(np.sqrt((ac**2).mean(axis=1)) < CPP_ENERGY_GATE)]  # a NaN frame is kept
+        gated = np.sqrt((ac**2).mean(axis=1)) < CPP_ENERGY_GATE * level
+        frame = frame[~gated]  # a NaN frame is kept
         spec = np.abs(np.fft.rfft(frame * win)) ** 2
-        log_spec = 10 * np.log10(spec + 1e-12)
+        log_spec = 10 * np.log10(spec + CPP_POWER_FLOOR * level**2)
         band = np.fft.irfft(log_spec)[:, q_lo : q_hi + 1]
         i_peak = np.argmax(band, axis=1)
         peak = band[np.arange(len(band)), i_peak]

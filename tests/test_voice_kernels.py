@@ -9,8 +9,9 @@ period sequences.
 
 voice_report must not depend on the level of a preprocessed stem: HNR,
 jitter, shimmer and the voiced fraction are ratios, so scaling the stem by
-1e-3 to 1e3 leaves them unchanged to round-off. CPP does not hold this; see
-test_cpp_depends_on_level.
+1e-3 to 1e3 leaves them unchanged to round-off. CPP scales its energy gate
+and power floor by the stem's peak, so it holds this too
+(test_cpp_depends_on_level).
 """
 
 from dataclasses import asdict, replace
@@ -87,7 +88,6 @@ def test_estimate_f0_matches_loop(n_frames, data):
     np.testing.assert_array_equal(got.voiced_flags, want.voiced_flags)
     np.testing.assert_array_equal(np.isnan(got.f0), np.isnan(want.f0))
     assert_close(got.f0[got.voiced_flags], want.f0[want.voiced_flags])
-    assert_close(got.confidence, want.confidence)
 
 
 @kernel_settings
@@ -97,7 +97,6 @@ def test_estimate_f0_matches_loop_any_length(data):
     got, want = estimate_f0(buf), voice_loops.estimate_f0(buf)
     np.testing.assert_array_equal(got.voiced_flags, want.voiced_flags)
     assert_close(got.f0[got.voiced_flags], want.f0[want.voiced_flags])
-    assert_close(got.confidence, want.confidence)
 
 
 @pytest.mark.parametrize("frame_length", (4096, 2048, 1024))
@@ -118,8 +117,7 @@ def test_hnr_matches_loop(n_frames, frame_length, data):
                   SR / 2 + rng.uniform(0, 2.5 * SR / frame_length, n_track),
                   np.exp(rng.uniform(np.log(50.0), np.log(12000.0), n_track)))
     voiced = rng.uniform(size=n_track) < data.draw(st.floats(0.1, 1.0))
-    track = PitchTrack(np.arange(n_track) * hop / SR, np.where(voiced, f0, np.nan), voiced,
-                       voiced.astype(float))
+    track = PitchTrack(np.arange(n_track) * hop / SR, np.where(voiced, f0, np.nan), voiced)
     assert_same_metric(hnr(buf, track), voice_loops.hnr(buf, track))
 
 
@@ -151,7 +149,7 @@ def test_extract_periods_matches_loop(data):
     run = data.draw(st.integers(1, 40))  # voicing decided per run of frames
     voiced = np.repeat(rng.uniform(size=n_track) < data.draw(st.floats(0.1, 1.0)), run)[:n_track]
     f0 = np.where(voiced, np.exp(rng.uniform(np.log(60.0), np.log(500.0), n_track)), np.nan)
-    track = PitchTrack(np.arange(n_track) * F0_HOP / SR, f0, voiced, voiced.astype(float))
+    track = PitchTrack(np.arange(n_track) * F0_HOP / SR, f0, voiced)
     try:
         want = voice_loops.extract_periods(buf, track)
     except ValueError as exc:
@@ -210,12 +208,6 @@ def test_voice_report_invariant_to_level(buf, exponent):
         assert_same_metric(scaled[name], base[name])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="cpp adds an absolute 1e-12 to each power spectrum and gates frames on an "
-    "absolute RMS of 1e-4, so its value moves with the level of the stem",
-)
 def test_cpp_depends_on_level():
     t = np.arange(2 * SR) / SR
     rng = np.random.RandomState(0)

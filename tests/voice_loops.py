@@ -21,15 +21,13 @@ from detoxaudit.voice import (
 
 
 def _parabolic_interp(y, i):
-    """Refine a discrete peak at index i; returns (offset, value)."""
+    """Offset of the refined peak from a discrete peak at index i."""
     if i <= 0 or i >= len(y) - 1:
-        return 0.0, float(y[i])
+        return 0.0
     denom = y[i - 1] - 2 * y[i] + y[i + 1]
     if denom == 0:
-        return 0.0, float(y[i])
-    offset = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    value = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * offset
-    return float(offset), float(value)
+        return 0.0
+    return float(0.5 * (y[i - 1] - y[i + 1]) / denom)
 
 
 def estimate_f0(buf, cfg=None):
@@ -47,10 +45,9 @@ def estimate_f0(buf, cfg=None):
     times = np.arange(n_frames) * hop / sr
     f0 = np.full(n_frames, np.nan)
     voiced = np.zeros(n_frames, dtype=bool)
-    conf = np.zeros(n_frames)
 
     if n_frames == 0:
-        return PitchTrack(times, f0, voiced, conf)
+        return PitchTrack(times, f0, voiced)
 
     frames = x[np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]]
     frame_rms_vals = np.sqrt((frames**2).mean(axis=1))
@@ -73,21 +70,19 @@ def estimate_f0(buf, cfg=None):
             r = np.where(norm > 0, full[lags] / norm, 0.0)
         best = float(r.max())
         if best < cfg.voicing_threshold:
-            conf[k] = max(best, 0.0)
             continue
         candidates = np.flatnonzero(r >= 0.9 * best)
         i = int(candidates[0])
         while 0 < i < len(r) - 1 and r[i + 1] > r[i]:
             i += 1
-        offset, peak_val = _parabolic_interp(r, i)
+        offset = _parabolic_interp(r, i)
         lag = lags[i] + offset
         freq = sr / lag
         if cfg.fmin <= freq <= cfg.fmax:
             f0[k] = freq
             voiced[k] = True
-            conf[k] = min(max(peak_val, 0.0), 1.0)
 
-    return PitchTrack(times, f0, voiced, conf)
+    return PitchTrack(times, f0, voiced)
 
 
 def extract_periods(buf, track):
@@ -171,13 +166,16 @@ def hnr(buf, track, frame_length=4096, harmonic_halfwidth_bins=2.0):
 
 
 def cpp(buf, frame_length=2048, hop=1024, f_search=(60.0, 330.0), baseline="regression",
-        energy_gate=1e-4):
+        energy_gate=1e-4, power_floor=1e-12):
     if baseline not in ("regression", "mean"):
         raise ValueError("baseline must be 'regression' or 'mean'")
     sr = buf.sample_rate
     x = buf.samples
     if len(x) < frame_length:
         raise ValueError("buffer shorter than one frame")
+    level = np.max(np.abs(x))
+    if level == 0:
+        return None
     q_lo = int(np.floor(sr / f_search[1]))
     q_hi = int(np.ceil(sr / f_search[0]))
     q_hi = min(q_hi, frame_length - 1)
@@ -187,10 +185,10 @@ def cpp(buf, frame_length=2048, hop=1024, f_search=(60.0, 330.0), baseline="regr
     for k in range(n_frames):
         frame = x[k * hop : k * hop + frame_length]
         ac = frame - frame.mean()
-        if np.sqrt((ac**2).mean()) < energy_gate:
+        if np.sqrt((ac**2).mean()) < energy_gate * level:
             continue
         spec = np.abs(np.fft.rfft(frame * win)) ** 2
-        log_spec = 10 * np.log10(spec + 1e-12)
+        log_spec = 10 * np.log10(spec + power_floor * level**2)
         cep = np.fft.irfft(log_spec)
         band = cep[q_lo : q_hi + 1]
         q = np.arange(q_lo, q_hi + 1, dtype=float)
