@@ -7,8 +7,11 @@ function over an immutable AudioBuffer.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +20,11 @@ import numpy as np
 # run never pays its start-up time or memory
 
 # frames per step of every framed kernel (spectral subtraction, RMS, f0, HNR,
-# CPP); at 4096-sample HNR frames a block's complex spectrum takes 2 MiB and
-# each float temporary 1 MiB
-BLOCK_FRAMES = 64
+# CPP); at 4096-sample HNR frames a block's complex spectrum takes 1 MiB and
+# each float temporary 512 KiB
+BLOCK_FRAMES = 32
+# threads of _map_blocks, and the blocks it keeps in flight (64 frames)
+BLOCK_WORKERS = 2
 HIGHPASS_ORDER = 4
 
 
@@ -169,9 +174,45 @@ def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.n
     return windows[starts]
 
 
-def _blocks(n: int):
-    """Slices of BLOCK_FRAMES rows covering range(n)."""
-    return (slice(i, min(i + BLOCK_FRAMES, n)) for i in range(0, n, BLOCK_FRAMES))
+def _blocks(n: int, rows: int = BLOCK_FRAMES):
+    """Slices of `rows` rows covering range(n), in order."""
+    return (slice(i, min(i + rows, n)) for i in range(0, n, rows))
+
+
+def _map_blocks(fn, n: int, rows: int = BLOCK_FRAMES):
+    """Yield fn(block) for each slice of _blocks(n, rows), in block order.
+
+    The blocks run on a pool of BLOCK_WORKERS threads that lives for the
+    call, with at most BLOCK_WORKERS blocks in flight; fn's numpy and FFT
+    calls release the GIL. A call with one block runs inline. Once a block
+    fails, no further block starts, and the error of the earliest failing
+    block is raised after every pool thread has finished.
+    """
+    if n <= rows:
+        yield from map(fn, _blocks(n, rows))
+        return
+    failed = False
+
+    def run(block):
+        nonlocal failed
+        try:
+            return fn(block)
+        except BaseException:
+            failed = True
+            raise
+
+    blocks = _blocks(n, rows)
+    pool = ThreadPoolExecutor(BLOCK_WORKERS, thread_name_prefix="detoxaudit-block")
+    try:
+        pending = deque(pool.submit(run, b) for b in islice(blocks, BLOCK_WORKERS))
+        while pending:
+            result = pending.popleft().result()
+            block = None if failed else next(blocks, None)
+            if block is not None:
+                pending.append(pool.submit(run, block))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _too_short_to_denoise(buf: AudioBuffer, cfg, frame_length: int = 2048) -> str | None:
@@ -201,13 +242,14 @@ def spectral_subtract(
 
     The frames are those of scipy's ShortTimeFFT.stft: Hann-windowed,
     centred on multiples of hop, zero-padded at both ends. They are
-    processed BLOCK_FRAMES at a time (rfft, subtract, irfft, times the
-    synthesis window, overlap-add), so besides the input, one padded copy
-    of it and the output, memory is bounded by the block, not by the
-    track. The phase is kept by scaling each bin by cleaned / |X|; a bin
-    with |X| == 0, as in digital silence, has no phase to scale and gets
-    cleaned times exp(1j * angle(X)), as ShortTimeFFT.istft would.
-    "quietest" mode makes one extra blocked pass for the frame energies.
+    processed BLOCK_FRAMES at a time by _map_blocks (rfft, subtract, irfft,
+    times the synthesis window), then overlap-added in block order, so
+    besides the input, one padded copy of it and the output, memory is
+    bounded by the blocks in flight, not by the track. The phase is kept
+    by scaling each bin by cleaned / |X|; a bin with |X| == 0, as in
+    digital silence, has no phase to scale and gets cleaned times
+    exp(1j * angle(X)), as ShortTimeFFT.istft would. "quietest" mode makes
+    one extra blocked pass for the frame energies.
     """
     x = buf.samples
     problem = _too_short_to_denoise(buf, cfg, frame_length)
@@ -234,13 +276,15 @@ def spectral_subtract(
         n_profile = int(round(cfg.noise_profile_window * buf.sample_rate))
         chosen = np.arange(min(max(1, n_profile // hop), n_frames))
     else:
-        energy = np.concatenate([(np.abs(spectra(b)) ** 2).sum(axis=1) for b in _blocks(n_frames)])
+        energy = np.concatenate(
+            list(_map_blocks(lambda b: (np.abs(spectra(b)) ** 2).sum(axis=1), n_frames))
+        )
         chosen = np.argsort(energy)[: max(1, int(0.1 * n_frames))]
-    noise = sum(np.abs(spectra(chosen[b])).sum(axis=0) for b in _blocks(len(chosen))) / len(chosen)
+    profile = _map_blocks(lambda b: np.abs(spectra(chosen[b])).sum(axis=0), len(chosen))
+    noise = sum(profile) / len(chosen)
     floor = cfg.subtraction_floor * noise
 
-    out = np.zeros(len(padded))
-    for b in _blocks(n_frames):
+    def clean(b):
         spec = spectra(b)
         mags = np.abs(spec)
         cleaned = np.maximum(mags - noise, floor)
@@ -251,7 +295,11 @@ def spectral_subtract(
         gain[bare] = 0.0
         spec *= gain
         spec[bare] = cleaned[bare] * phase
-        rebuilt = np.roll(fft.irfft(spec, n=m, axis=1), mid, axis=1) * sft.dual_win
+        return b, np.roll(fft.irfft(spec, n=m, axis=1), mid, axis=1) * sft.dual_win
+
+    out = np.zeros(len(padded))
+    # the overlap-add stays here, in block order, so that every sum is the serial one
+    for b, rebuilt in _map_blocks(clean, n_frames):
         for row, frame in zip(range(b.start, b.stop), rebuilt):
             out[row * hop : row * hop + m] += frame
     return replace(buf, samples=out[head : head + len(x)])

@@ -34,7 +34,12 @@ class Spectrogram:
         return np.fft.rfftfreq(self.frame_length, 1 / self.sample_rate)
 
     def to_db(self) -> np.ndarray:
-        return np.maximum(20 * np.log10(self.magnitudes + DB_EPS), DB_FLOOR)
+        return _db(self.magnitudes)
+
+
+def _db(magnitudes: np.ndarray) -> np.ndarray:
+    """Magnitudes in dB, floored at DB_FLOOR."""
+    return np.maximum(20 * np.log10(magnitudes + DB_EPS), DB_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,16 @@ def stft(
     """Magnitude spectrogram of the buffer, frames x (frame_length//2 + 1) bins."""
     if hop > frame_length:
         raise ValueError("hop must not exceed frame_length")
+    mags = _magnitudes(buf.samples, frame_length, hop, window)
+    return Spectrogram(mags, frame_length, hop, buf.sample_rate)
+
+
+def _magnitudes(x: np.ndarray, frame_length: int, hop: int, window: str = "hann") -> np.ndarray:
+    """|rfft| of the windowed frames of x taken every hop samples from 0; any hop >= 1."""
     from scipy import signal
 
-    frames = _frames(buf.samples, frame_length, hop)
-    mags = np.abs(np.fft.rfft(frames * signal.get_window(window, frame_length), axis=1))
-    return Spectrogram(mags, frame_length, hop, buf.sample_rate)
+    frames = _frames(x, frame_length, hop)
+    return np.abs(np.fft.rfft(frames * signal.get_window(window, frame_length), axis=1))
 
 
 def frame_rms(buf: AudioBuffer, frame_length: int = 2048, hop: int = 512) -> RmsSeries:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lyrics as lyr
 from .audio_io import AudioBuffer, PreprocessConfig, load_track, preprocess
-from .dsp import Spectrogram, frame_rms, load_section_map, rms_stats, slice_sections, stft
+from .dsp import _db, _magnitudes, frame_rms, load_section_map, rms_stats, slice_sections
 from .voice import VoiceMetrics, radar_normalize, voice_report
 
 PLOT_KINDS = ("waveform", "spectrogram", "ngram", "radar", "similarity", "sentiment_sections")
@@ -53,9 +53,13 @@ class TrackBundle:
             raise StageError("stage 1 (audio collection)", f"missing sections: {self.sections}")
 
 
+def _stride(n: int, limit: int) -> int:
+    """The step that keeps at most limit of n items."""
+    return max(1, math.ceil(n / limit))
+
+
 def _decimate(arr: np.ndarray, limit: int) -> np.ndarray:
-    stride = max(1, int(np.ceil(len(arr) / limit)))
-    return arr[::stride]
+    return arr[:: _stride(len(arr), limit)]
 
 
 def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
@@ -97,22 +101,27 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
 
 
 def _plot_data(buf: AudioBuffer) -> dict:
-    """Decimated spectrogram payload of one buffer; one shorter than a frame has no frames."""
-    if len(buf.samples) < SPECTROGRAM_FRAME:
-        empty = np.empty((0, SPECTROGRAM_FRAME // 2 + 1))
-        spec = Spectrogram(empty, SPECTROGRAM_FRAME, SPECTROGRAM_HOP, buf.sample_rate)
+    """Decimated spectrogram payload of one buffer; one shorter than a frame has no frames.
+
+    Only the plotted frames are transformed: every stride-th frame of
+    stft(buf, SPECTROGRAM_FRAME, SPECTROGRAM_HOP), with at most MAX_PLOT_FRAMES
+    of them, and only the plotted bins are taken to dB.
+    """
+    n = len(buf.samples)
+    n_frames = (n - SPECTROGRAM_FRAME) // SPECTROGRAM_HOP + 1 if n >= SPECTROGRAM_FRAME else 0
+    stride = _stride(n_frames, MAX_PLOT_FRAMES)
+    freqs = np.fft.rfftfreq(SPECTROGRAM_FRAME, 1 / buf.sample_rate)
+    f_idx = _decimate(np.flatnonzero(freqs <= SPECTROGRAM_FMAX), MAX_PLOT_BINS)
+    if n_frames:
+        mags = _magnitudes(buf.samples, SPECTROGRAM_FRAME, SPECTROGRAM_HOP * stride)[:, f_idx]
     else:
-        spec = stft(buf, SPECTROGRAM_FRAME, SPECTROGRAM_HOP)
-    mags_db = spec.to_db()
-    freqs = spec.frequencies
-    fmask = freqs <= SPECTROGRAM_FMAX
-    t_idx = _decimate(np.arange(mags_db.shape[0]), MAX_PLOT_FRAMES)
-    f_idx = _decimate(np.flatnonzero(fmask), MAX_PLOT_BINS)
+        mags = np.empty((0, len(f_idx)))
+    times = np.arange(0, n_frames, stride) * SPECTROGRAM_HOP / buf.sample_rate
     return {
         "spectrogram": {
-            "times": spec.frame_times[t_idx].tolist(),
+            "times": times.tolist(),
             "frequencies": freqs[f_idx].tolist(),
-            "db": np.round(mags_db[np.ix_(t_idx, f_idx)], 2).tolist(),
+            "db": np.round(_db(mags), 2).tolist(),
         },
     }
 

@@ -7,13 +7,18 @@ extracted with the pitch track as a guide.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer, _blocks, _frames
+from .audio_io import BLOCK_FRAMES, AudioBuffer, _frames, _map_blocks
 from .dsp import frame_rms
 
+# f0 frames are short and an f0 block is some 40 small numpy calls: in blocks
+# of BLOCK_FRAMES, two threads spend more time handing over the GIL than they
+# gain. Two doubled blocks still peak below spectral subtraction's two blocks.
+F0_BLOCK_FRAMES = 2 * BLOCK_FRAMES
 HNR_CAP_DB = 40.0
 HNR_FRAME_LENGTH = 4096  # halved, down to 1024, while longer than the buffer
 HNR_HARMONIC_HALFWIDTH_BINS = 2.0  # bins either side of h * f0 counted as harmonic
@@ -116,7 +121,8 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     lags = np.arange(lag_min, min(lag_max + 1, frame_len))
     n_lags = len(lags)
     gated = np.flatnonzero(~(rms.values <= gate))  # a NaN frame is not gated
-    for b in _blocks(len(gated)):
+
+    def pitch(b):
         ks = gated[b]
         frame = frames[ks]
         frame = frame - frame.mean(axis=1, keepdims=True)
@@ -150,8 +156,11 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
             offset = np.where(interior, 0.5 * (y0 - y2) / denom, 0.0)
             freq = sr / (lags[i] + offset)
         ok = (energy > 0) & ~weak & (cfg.fmin <= freq) & (freq <= cfg.fmax)
-        f0[ks[ok]] = freq[ok]
-        voiced[ks[ok]] = True
+        return ks[ok], freq[ok]
+
+    for ks, freq in _map_blocks(pitch, len(gated), F0_BLOCK_FRAMES):
+        f0[ks] = freq
+        voiced[ks] = True
 
     return PitchTrack(rms.frame_times, f0, voiced)
 
@@ -180,8 +189,8 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
     x = buf.samples
     hop = float(np.median(np.diff(track.frame_times))) if len(track.frame_times) > 1 else 0.01
 
-    periods = []
-    amplitudes = []
+    # cycle boundaries (a, b), in samples, of every voiced run
+    cycles = []
 
     # walk each contiguous voiced run independently
     v = track.voiced_flags
@@ -194,29 +203,30 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
         i1 = min(int((track.frame_times[e] + hop) * sr) + 1, len(x))
         if i1 - i0 < 2 * period:
             continue
-        crossings = _rising_crossings(x, i0, i1)
+        crossings = _rising_crossings(x, i0, i1).tolist()
         if len(crossings) < 2:
             continue
         boundaries = [crossings[0]]
         pos = crossings[0]
         while True:
             # crossings rise strictly, so the candidates are one contiguous slice
-            lo = np.searchsorted(crossings, pos + 0.7 * period, side="left")
-            hi = np.searchsorted(crossings, pos + 1.35 * period, side="right")
+            lo = bisect_left(crossings, pos + 0.7 * period)
+            hi = bisect_right(crossings, pos + 1.35 * period)
             if lo == hi:
                 break
-            window = crossings[lo:hi]
-            nxt = window[np.argmin(np.abs(window - (pos + period)))]
-            boundaries.append(nxt)
-            pos = nxt
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            periods.append((b - a) / sr)
-            cyc = x[int(np.floor(a)) : int(np.ceil(b))]
-            amplitudes.append(float(cyc.max() - cyc.min()))
+            target = pos + period
+            pos = min(crossings[lo:hi], key=lambda c: abs(c - target))  # the first of a tie
+            boundaries.append(pos)
+        cycles += zip(boundaries[:-1], boundaries[1:])
 
-    if len(periods) < 2:
+    if len(cycles) < 2:
         raise ValueError("insufficient voicing")
-    return PeriodSequence(np.asarray(periods), np.asarray(amplitudes))
+    a, b = np.array(cycles).T
+    # x[floor(a):ceil(b)] is the cycle; every other reduceat segment lies between cycles
+    idx = np.column_stack([np.floor(a), np.ceil(b)]).astype(int).ravel()
+    peak = np.maximum.reduceat(x, idx)[0::2]
+    trough = np.minimum.reduceat(x, idx)[0::2]
+    return PeriodSequence((b - a) / sr, peak - trough)
 
 
 def hnr(buf: AudioBuffer, track: PitchTrack) -> float | None:
@@ -247,8 +257,8 @@ def hnr(buf: AudioBuffer, track: PitchTrack) -> float | None:
     start = (track.frame_times[ks] * sr).astype(int)
     fits = np.logical_and.accumulate(start + frame_length <= len(x))
     ks, start = ks[fits], start[fits]
-    values = []
-    for b in _blocks(len(ks)):
+
+    def ratios(b):
         spec = np.fft.rfft(_frames(x, frame_length, starts=start[b]) * win)
         power = np.abs(spec) ** 2 * weights
         f0_bin = track.f0[ks[b], None] * frame_length / sr
@@ -262,7 +272,9 @@ def hnr(buf: AudioBuffer, track: PitchTrack) -> float | None:
         with np.errstate(divide="ignore", invalid="ignore"):
             db = np.minimum(10 * np.log10(e_harm / e_noise), HNR_CAP_DB)
         # a frame with noise but no harmonic energy has no finite ratio and is dropped
-        values.append(np.where(e_noise <= 0, HNR_CAP_DB, db)[(e_noise <= 0) | (e_harm > 0)])
+        return np.where(e_noise <= 0, HNR_CAP_DB, db)[(e_noise <= 0) | (e_harm > 0)]
+
+    values = list(_map_blocks(ratios, len(ks)))
     values = np.concatenate(values) if values else np.empty(0)
     if len(values) == 0:
         return None
@@ -290,8 +302,8 @@ def cpp(buf: AudioBuffer) -> float | None:
     win = np.hanning(CPP_FRAME_LENGTH)
     q = np.arange(q_lo, q_hi + 1, dtype=float)
     q_dev = q - q.mean()
-    values = []
-    for b in _blocks(len(frames)):
+
+    def prominences(b):
         frame = frames[b]
         ac = frame - frame.mean(axis=1, keepdims=True)
         gated = np.sqrt((ac**2).mean(axis=1)) < CPP_ENERGY_GATE * level
@@ -302,8 +314,9 @@ def cpp(buf: AudioBuffer) -> float | None:
         i_peak = np.argmax(band, axis=1)
         peak = band[np.arange(len(band)), i_peak]
         slope = (band @ q_dev) / (q_dev @ q_dev)
-        values.append(peak - (band.mean(axis=1) + slope * q_dev[i_peak]))
-    values = np.concatenate(values)
+        return peak - (band.mean(axis=1) + slope * q_dev[i_peak])
+
+    values = np.concatenate(list(_map_blocks(prominences, len(frames))))
     if len(values) == 0:
         return None
     return float(np.mean(values))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -5,6 +7,21 @@ from scipy.io import wavfile
 from detoxaudit import AudioBuffer
 
 SR = 22050
+
+
+def pool_threads():
+    """Names of live pool threads: _map_blocks' and every HTTP client's prefetch.
+    Counted by name: the loopback servers' handler threads may still be closing
+    their sockets when a call returns."""
+    names = (t.name for t in threading.enumerate())
+    return [n for n in names if n.startswith("detoxaudit-block") or "-fetch" in n]
+
+
+@pytest.fixture(autouse=True)
+def no_pool_thread_left():
+    """Fail a test that leaves a block or prefetch pool thread running."""
+    yield
+    assert pool_threads() == []
 
 
 def make_tone(freq, seconds=2.0, sr=SR, amp=1.0):

@@ -25,6 +25,7 @@ from detoxaudit import (
     score_document,
 )
 from detoxaudit.providers import FETCH_WORKERS
+from conftest import pool_threads
 
 
 class MockProvider:
@@ -233,12 +234,6 @@ class TestSentimentClient:
         assert server.requests_seen == 2
 
 
-def fetch_threads():
-    """Live prefetch pool threads. Counted by name: the loopback servers'
-    handler threads may still be closing their sockets when a call returns."""
-    return [t for t in threading.enumerate() if "-fetch" in t.name]
-
-
 class TestPrefetch:
     def test_keeps_at_most_fetch_workers_in_flight(self, mock_provider):
         server = mock_provider({"label": "POSITIVE", "score": 0.9}, delay_s=0.02)
@@ -249,7 +244,7 @@ class TestPrefetch:
         assert server.requests_seen == len(texts)
         assert all(client.classify(t) == ("POSITIVE", 0.9) for t in texts)
         assert server.requests_seen == len(texts)
-        assert fetch_threads() == []
+        assert pool_threads() == []
 
     def test_fetches_each_distinct_miss_once(self, mock_provider):
         server = mock_provider({"vector": [3.0, 4.0]})
@@ -282,7 +277,7 @@ class TestPrefetch:
         with pytest.raises(ProviderError, match="giving up"):
             client.prefetch([f"line {i}" for i in range(40)])
         assert server.requests_seen <= FETCH_WORKERS * (cfg.max_retries + 1)
-        assert fetch_threads() == []
+        assert pool_threads() == []
 
     def test_raises_error_of_earliest_failing_text(self, stub_server):
         client = EmbeddingClient(fast_cfg(stub_server + "embedding"))
@@ -290,7 +285,7 @@ class TestPrefetch:
         texts = ["slow bad first", "a", "b", "bad second", "c", "d"]
         with pytest.raises(ProviderError, match="slow bad first"):
             client.prefetch(texts)
-        assert fetch_threads() == []
+        assert pool_threads() == []
 
 
 class TestEmbeddingClient:

@@ -4,8 +4,8 @@ The oracle in preprocess_oracles.py is the original ShortTimeFFT
 implementation. Outputs must agree to rel 1e-9 (abs 1e-12 floor) in both
 noise-profile modes, at sample rates from 2 to 48 kHz, on noise buffers
 with exact-zero stretches (+0.0 or -0.0) at the head, middle and tail, at
-frame counts of the fewest a buffer can span, one block, one block plus
-one and two blocks plus one. A one-frame STFT does not exist here: the
+frame counts of the fewest a buffer can span, the frames in flight
+(BLOCK_WORKERS blocks), one frame more and two windows plus one. A one-frame STFT does not exist here: the
 shortest buffer accepted (frame_length - frame_length // 2 samples) spans
 five centred frames at both 2048/512 and 1024/256.
 """
@@ -21,12 +21,13 @@ from scipy import signal
 
 import preprocess_oracles
 from detoxaudit import PreprocessConfig, spectral_subtract
-from detoxaudit.audio_io import BLOCK_FRAMES
+from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS
 from conftest import SR, buffer, make_noise, make_tone
 
 RTOL, ATOL = 1e-9, 1e-12
 FRAMINGS = ((2048, 512), (1024, 256))
-FRAME_COUNTS = (None, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1)
+IN_FLIGHT = BLOCK_WORKERS * BLOCK_FRAMES  # frames in flight in _map_blocks
+FRAME_COUNTS = (None, IN_FLIGHT, IN_FLIGHT + 1, 2 * IN_FLIGHT + 1)
 
 
 def length_range(n_frames, frame_length, hop):

@@ -82,6 +82,17 @@ class TestExtractPeriods:
         assert np.all(np.abs(highs - 2.0) <= 0.1)
         assert np.all(np.abs(lows - 1.6) <= 0.08)
 
+    def test_first_of_two_equally_near_crossings_wins(self):
+        # rising crossings at whole samples; from 10, the next boundary is due at
+        # 110, and 100 and 120 are both 10 samples away
+        x = np.full(400, -1.0)
+        for c in (10, 100, 120, 200, 300):
+            x[c], x[c + 1] = 0.0, 1.0
+        track = PitchTrack(np.arange(40) * 0.01, np.full(40, 10.0), np.ones(40, dtype=bool))
+        seq = extract_periods(buffer(x, sr=1000), track)
+        assert seq.periods.tolist() == [0.09, 0.1, 0.1]
+        assert seq.amplitudes.tolist() == [2.0, 2.0, 2.0]
+
     def test_unvoiced_noise_rejected(self):
         buf = buffer(make_noise(2.0, seed=6) / 3)
         with pytest.raises(ValueError, match="insufficient voicing"):

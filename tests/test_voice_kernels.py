@@ -3,15 +3,16 @@
 The loops in voice_loops.py are the reference. Values must agree to rel
 1e-9 (abs 1e-12 floor) and voicing decisions exactly, on random
 harmonic-plus-noise buffers with leading and trailing silence, at frame
-counts of 1, one block and one block plus one. The period walk must equal
-its loop exactly, and jitter and shimmer must match their loops on random
+counts of 1 (one block, run inline), 64 and 65. For HNR and CPP, 64 is
+the frames in flight (BLOCK_WORKERS blocks of BLOCK_FRAMES); for f0 it is
+one block of F0_BLOCK_FRAMES, and 65 starts a second one. The period walk must equal its loop exactly, and jitter and shimmer must match their loops on random
 period sequences.
 
 voice_report must not depend on the level of a preprocessed stem: HNR,
 jitter, shimmer and the voiced fraction are ratios, so scaling the stem by
 1e-3 to 1e3 leaves them unchanged to round-off. CPP scales its energy gate
 and power floor by the stem's peak, so it holds this too
-(test_cpp_depends_on_level).
+(test_cpp_does_not_depend_on_level).
 """
 
 from dataclasses import asdict, replace
@@ -35,11 +36,11 @@ from detoxaudit import (
     shimmer,
     voice_report,
 )
-from detoxaudit.audio_io import BLOCK_FRAMES
+from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS
 from conftest import SR, buffer
 
 RTOL, ATOL = 1e-9, 1e-12
-FRAME_COUNTS = (1, BLOCK_FRAMES, BLOCK_FRAMES + 1)
+FRAME_COUNTS = (1, BLOCK_WORKERS * BLOCK_FRAMES, BLOCK_WORKERS * BLOCK_FRAMES + 1)
 
 F0_FRAME = int(round(PitchConfig.frame_seconds * SR))
 F0_HOP = int(round(PitchConfig.hop_seconds * SR))
@@ -208,7 +209,7 @@ def test_voice_report_invariant_to_level(buf, exponent):
         assert_same_metric(scaled[name], base[name])
 
 
-def test_cpp_depends_on_level():
+def test_cpp_does_not_depend_on_level():
     t = np.arange(2 * SR) / SR
     rng = np.random.RandomState(0)
     voice = sum(np.sin(2 * np.pi * 180 * h * t + h) / h for h in range(1, 9))
