@@ -26,6 +26,9 @@ BLOCK_FRAMES = 32
 # threads of _map_blocks, and the blocks it keeps in flight (64 frames)
 BLOCK_WORKERS = 2
 HIGHPASS_ORDER = 4
+# spectral subtraction's STFT framing, in samples
+SUBTRACT_FRAME_LENGTH = 2048
+SUBTRACT_HOP = 512
 
 
 class AudioLoadError(ValueError):
@@ -78,7 +81,7 @@ class PreprocessConfig:
 
 
 def load_track(path) -> AudioBuffer:
-    """Load a PCM WAV file (16-bit int or 32-bit float) as a mono buffer.
+    """Load a PCM WAV file (8-bit unsigned, 16/32-bit int, float) as a mono buffer.
 
     Multichannel input is averaged to mono; the file's sample rate is kept.
     A float file holding any NaN or infinite sample is rejected.
@@ -132,7 +135,7 @@ def truncate(buf: AudioBuffer, max_duration: float) -> AudioBuffer:
     return replace(buf, samples=buf.samples[:limit])
 
 
-def preemphasis(buf: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
+def preemphasis(buf: AudioBuffer, alpha: float) -> AudioBuffer:
     """First-difference filter y[n] = x[n] - alpha * x[n-1], y[0] = x[0]."""
     if not 0 <= alpha < 1:
         raise ValueError("alpha must be in [0, 1)")
@@ -144,7 +147,7 @@ def preemphasis(buf: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     return replace(buf, samples=y)
 
 
-def highpass(buf: AudioBuffer, cutoff: float = 100.0) -> AudioBuffer:
+def highpass(buf: AudioBuffer, cutoff: float) -> AudioBuffer:
     """Zero-phase Butterworth high-pass (order HIGHPASS_ORDER) removing content below cutoff."""
     nyquist = buf.sample_rate / 2
     if not 0 < cutoff < nyquist:
@@ -215,23 +218,18 @@ def _map_blocks(fn, n: int, rows: int = BLOCK_FRAMES):
         pool.shutdown(cancel_futures=True)
 
 
-def _too_short_to_denoise(buf: AudioBuffer, cfg, frame_length: int = 2048) -> str | None:
+def _too_short_to_denoise(buf: AudioBuffer, cfg) -> str | None:
     """Why buf is too short for spectral subtraction (None if it is not): it needs more
     samples than the noise profile window, and half a frame for a centred STFT."""
     n = len(buf.samples)
     if n <= round(cfg.noise_profile_window * buf.sample_rate):
         return "buffer shorter than noise profile window"
-    if n < frame_length - frame_length // 2:
+    if n < SUBTRACT_FRAME_LENGTH - SUBTRACT_FRAME_LENGTH // 2:
         return "buffer shorter than half a frame"
     return None
 
 
-def spectral_subtract(
-    buf: AudioBuffer,
-    cfg: PreprocessConfig,
-    frame_length: int = 2048,
-    hop: int = 512,
-) -> AudioBuffer:
+def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
     """Subtract an estimated noise magnitude spectrum from every frame.
 
     The noise profile is the mean STFT magnitude over the first
@@ -240,26 +238,28 @@ def spectral_subtract(
     cfg.subtraction_floor times the noise magnitude; phase is kept and
     the signal is rebuilt by overlap-add.
 
-    The frames are those of scipy's ShortTimeFFT.stft: Hann-windowed,
-    centred on multiples of hop, zero-padded at both ends. They are
-    processed BLOCK_FRAMES at a time by _map_blocks (rfft, subtract, irfft,
-    times the synthesis window), then overlap-added in block order, so
-    besides the input, one padded copy of it and the output, memory is
-    bounded by the blocks in flight, not by the track. The phase is kept
-    by scaling each bin by cleaned / |X|; a bin with |X| == 0, as in
-    digital silence, has no phase to scale and gets cleaned times
+    The frames are those of scipy's ShortTimeFFT.stft: SUBTRACT_FRAME_LENGTH
+    samples, Hann-windowed, centred on multiples of SUBTRACT_HOP, zero-padded
+    at both ends. They are processed BLOCK_FRAMES at a time by _map_blocks
+    (rfft, subtract, irfft, times the synthesis window), then overlap-added
+    in block order, so besides the input, one padded copy of it and the
+    output, memory is bounded by the blocks in flight, not by the track. The
+    phase is kept by scaling each bin by cleaned / |X|; a bin with |X| == 0,
+    as in digital silence, has no phase to scale and gets cleaned times
     exp(1j * angle(X)), as ShortTimeFFT.istft would. "quietest" mode makes
-    one extra blocked pass for the frame energies.
+    one extra blocked pass for the frame energies. Every sum runs in frame
+    order, so the block size reaches no output.
     """
     x = buf.samples
-    problem = _too_short_to_denoise(buf, cfg, frame_length)
+    problem = _too_short_to_denoise(buf, cfg)
     if problem:
         raise ValueError(problem)
     if not np.any(x):
         return buf
     from scipy import fft, signal
 
-    win = signal.get_window("hann", frame_length)
+    hop = SUBTRACT_HOP
+    win = signal.get_window("hann", SUBTRACT_FRAME_LENGTH)
     # ShortTimeFFT supplies the frame range, the centring and the synthesis window
     sft = signal.ShortTimeFFT(win, hop=hop, fs=buf.sample_rate)
     m, mid = sft.m_num, sft.m_num_mid
@@ -280,8 +280,12 @@ def spectral_subtract(
             list(_map_blocks(lambda b: (np.abs(spectra(b)) ** 2).sum(axis=1), n_frames))
         )
         chosen = np.argsort(energy)[: max(1, int(0.1 * n_frames))]
-    profile = _map_blocks(lambda b: np.abs(spectra(chosen[b])).sum(axis=0), len(chosen))
-    noise = sum(profile) / len(chosen)
+    # one running sum over the chosen frames in order, as numpy's axis-0 sum adds them
+    noise = np.zeros(m // 2 + 1)
+    for mags in _map_blocks(lambda b: np.abs(spectra(chosen[b])), len(chosen)):
+        for row in mags:
+            noise += row
+    noise /= len(chosen)
     floor = cfg.subtraction_floor * noise
 
     def clean(b):

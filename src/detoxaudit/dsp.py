@@ -18,20 +18,15 @@ DB_EPS = 1e-10
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Magnitude STFT: frames x bins, with the framing parameters kept."""
+    """Magnitude STFT: frames x bins, with the hop and rate that time the frames."""
 
     magnitudes: np.ndarray
-    frame_length: int
     hop: int
     sample_rate: int
 
     @property
     def frame_times(self) -> np.ndarray:
         return np.arange(self.magnitudes.shape[0]) * self.hop / self.sample_rate
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.fft.rfftfreq(self.frame_length, 1 / self.sample_rate)
 
     def to_db(self) -> np.ndarray:
         return _db(self.magnitudes)
@@ -72,7 +67,7 @@ def stft(
     if hop > frame_length:
         raise ValueError("hop must not exceed frame_length")
     mags = _magnitudes(buf.samples, frame_length, hop, window)
-    return Spectrogram(mags, frame_length, hop, buf.sample_rate)
+    return Spectrogram(mags, hop, buf.sample_rate)
 
 
 def _magnitudes(x: np.ndarray, frame_length: int, hop: int, window: str = "hann") -> np.ndarray:

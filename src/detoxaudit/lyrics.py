@@ -12,6 +12,7 @@ import numpy as np
 from .dsp import SECTION_LABELS
 
 SECTION_ORDER = SECTION_LABELS + ("unknown",)
+SIMILARITY_WINDOW = 5  # lines per rolling mean of the per-line similarity
 
 _HEADER_RE = re.compile(r"^\s*\[([^\]]+)\]\s*$")
 # strip everything except letters, digits, apostrophes and censoring asterisks
@@ -55,7 +56,7 @@ class NgramTable:
     n: int
     counts: dict
 
-    def top(self, k: int = 10) -> list:
+    def top(self, k: int) -> list:
         """Top-k grams by count, ties broken lexicographically."""
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
@@ -63,12 +64,11 @@ class NgramTable:
 @dataclass(frozen=True)
 class SimilaritySeries:
     per_line: np.ndarray
-    window: int = 5
     unpaired: int = 0
 
     @property
     def rolling(self) -> np.ndarray:
-        return rolling_mean(self.per_line, self.window)
+        return rolling_mean(self.per_line, SIMILARITY_WINDOW)
 
     @property
     def mean(self) -> float:
@@ -82,23 +82,21 @@ def _fold_label(raw: str) -> str:
     return "unknown"
 
 
-def clean_tokens(line: str, stopwords=None) -> list:
+def clean_tokens(line: str, stopwords) -> list:
     """Lowercase, split hyphens, strip punctuation (keeping ' and *), drop stopwords."""
-    if stopwords is None:
-        stopwords = default_stopwords()
     text = line.lower().replace("-", " ")
     text = _STRIP_RE.sub("", text)
     return [tok for tok in text.split() if tok and tok not in stopwords]
 
 
-def parse_lyrics(text: str, stopwords=None) -> LyricDoc:
+def parse_lyrics(text: str) -> LyricDoc:
     """Parse raw lyric text into labeled sections and cleaned tokens.
 
     `[Label]` headers start a new section ("Verse 2" folds to "verse");
     lines before any header land in "unknown". Blank lines are dropped.
+    Tokens are cleaned against the bundled stopword list.
     """
-    if stopwords is None:
-        stopwords = default_stopwords()
+    stopwords = default_stopwords()
     sections = []
     current_label = None
     current_lines = []
@@ -187,9 +185,7 @@ def percent_decrease(original_mean: float, transformed_mean: float) -> float:
     return round(100.0 * (original_mean - transformed_mean) / original_mean, 1)
 
 
-def line_similarity(
-    orig: LyricDoc, trans: LyricDoc, embedder, window: int = 5
-) -> SimilaritySeries:
+def line_similarity(orig: LyricDoc, trans: LyricDoc, embedder) -> SimilaritySeries:
     """Cosine similarity of per-line embeddings, paired by line index.
     An embedder with ``prefetch`` fetches the paired lines first, concurrently."""
     if len(orig) == 0 or len(trans) == 0:
@@ -209,7 +205,7 @@ def line_similarity(
             raise ValueError(f"zero-norm embedding for line pair {i}")
         sims[i] = float(va @ vb / (na * nb))
     unpaired = max(len(orig), len(trans)) - n
-    return SimilaritySeries(sims, window=window, unpaired=unpaired)
+    return SimilaritySeries(sims, unpaired=unpaired)
 
 
 def rolling_mean(series, window: int) -> np.ndarray:

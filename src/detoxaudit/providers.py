@@ -36,6 +36,7 @@ ENV_API_TOKEN = "DETOX_API_TOKEN"
 
 FETCH_WORKERS = 4  # requests in flight per HTTP client during a prefetch
 LENGTH_TOLERANCE = 0.2  # relative change in non-blank lines a rewrite makes without a warning
+STUB_DIMENSION = 768  # length of StubEmbedder's vectors
 
 DEFAULT_REWRITE_TEMPLATE = (
     "Rewrite the lyrics so that it is not abusive and make sure it has "
@@ -69,14 +70,9 @@ class ProviderConfig:
 @dataclass(frozen=True)
 class RewriteRequest:
     lyrics: str
-    prompt_template: str = DEFAULT_REWRITE_TEMPLATE
-
-    def __post_init__(self):
-        if self.prompt_template.count("[lyrics]") != 1:
-            raise ValueError("prompt template must contain [lyrics] exactly once")
 
     def prompt(self) -> str:
-        return self.prompt_template.replace("[lyrics]", self.lyrics)
+        return DEFAULT_REWRITE_TEMPLATE.replace("[lyrics]", self.lyrics)
 
 
 def _cache_key(provider: str, model: str, text: str) -> str:
@@ -140,13 +136,9 @@ class _HttpProvider(_Provider):
                 stop.set()
                 raise
 
-        pool = ThreadPoolExecutor(FETCH_WORKERS, thread_name_prefix=f"{self.name}-fetch")
-        try:
-            futures = [pool.submit(fetch, t) for t in misses]
-            for future in futures:
-                future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with ThreadPoolExecutor(FETCH_WORKERS, thread_name_prefix=f"{self.name}-fetch") as pool:
+            for _ in pool.map(fetch, misses):
+                pass
 
     def _cache_path(self, key: str) -> Path | None:
         if not self.cfg.cache_dir:
@@ -316,11 +308,7 @@ class StubSentimentClassifier(_Provider):
 
 
 class StubEmbedder(_Provider):
-    """Deterministic pseudo-random unit vectors seeded by the input hash."""
-
-    def __init__(self, dimension: int = 768):
-        super().__init__()
-        self.dimension = dimension
+    """Deterministic pseudo-random unit vectors of STUB_DIMENSION, seeded by the input hash."""
 
     def embed(self, text: str) -> np.ndarray:
         return self._memoized(text, self._vector)
@@ -328,7 +316,7 @@ class StubEmbedder(_Provider):
     def _vector(self, text: str) -> np.ndarray:
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4], "big")
         rng = np.random.RandomState(seed)
-        vec = rng.standard_normal(self.dimension)
+        vec = rng.standard_normal(STUB_DIMENSION)
         vec /= np.linalg.norm(vec)
         return vec
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -16,6 +14,7 @@ import numpy as np
 from . import lyrics as lyr
 from .audio_io import AudioBuffer, PreprocessConfig, load_track, preprocess
 from .dsp import _db, _magnitudes, frame_rms, load_section_map, rms_stats, slice_sections
+from .providers import _write_atomic
 from .voice import VoiceMetrics, radar_normalize, voice_report
 
 PLOT_KINDS = ("waveform", "spectrogram", "ngram", "radar", "similarity", "sentiment_sections")
@@ -235,7 +234,7 @@ def run_pipeline(
         "similarity": {
             "per_line": np.round(sims.per_line, 12).tolist(),
             "rolling": np.round(sims.rolling, 12).tolist(),
-            "window": sims.window,
+            "window": lyr.SIMILARITY_WINDOW,
             "mean": round(sims.mean, 12),
             "unpaired": sims.unpaired,
         },
@@ -284,15 +283,7 @@ def write_report(report: dict, path):
     """Atomic JSON write: temp file in the target directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, report_json(report) + "\n")
 
 
 def load_report(path) -> dict:

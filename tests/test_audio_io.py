@@ -62,6 +62,20 @@ class TestLoadTrack:
         assert buf.samples.max() == pytest.approx(1.0, abs=1e-4)
         assert buf.samples.min() == -1.0
 
+    @pytest.mark.parametrize("dtype, zero", ((np.int32, 0), (np.uint8, 128)))
+    def test_other_integer_encodings_scaled_into_unit_range(self, tmp_path, dtype, zero):
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        path = tmp_path / "int.wav"
+        wavfile.write(str(path), SR, np.array([lo, zero, hi], dtype=dtype))
+        scale = hi + 1 - zero  # 2**31 for int32, 128 for uint8
+        assert load_track(path).samples.tolist() == [-1.0, 0.0, (hi - zero) / scale]
+
+    def test_int64_rejected(self, tmp_path):
+        path = tmp_path / "wide.wav"
+        wavfile.write(str(path), SR, np.arange(10, dtype=np.int64))
+        with pytest.raises(AudioLoadError, match="unsupported sample encoding int64"):
+            load_track(path)
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_sample_rejected(self, tmp_path, bad):
         samples = make_tone(220, 0.5)

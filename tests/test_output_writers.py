@@ -7,6 +7,7 @@ cell-by-cell oracles in csv_oracles.py.
 
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -104,6 +105,23 @@ class TestReportJson:
     def test_numpy_float_leaves_take_the_general_path(self):
         tree = {"a": [np.float64(0.1), 2.5], "b": np.float64(-0.0)}
         assert report_json(tree) == _dumps(tree)
+
+
+def test_failed_write_keeps_old_report_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    write_report({"a": [1.0]}, target)
+    old = target.read_bytes()
+    with pytest.raises(ValueError):
+        write_report({"a": [float("nan")]}, target)  # report_json rejects it
+
+    def refuse(src, dst):
+        raise OSError("cannot publish")
+
+    monkeypatch.setattr(os, "replace", refuse)  # fails after the temp file is written
+    with pytest.raises(OSError, match="cannot publish"):
+        write_report({"a": [2.0]}, target)
+    assert target.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def _side_payload(draw, values):

@@ -24,14 +24,15 @@ from detoxaudit import (
     parse_lyrics,
     score_document,
 )
-from detoxaudit.providers import FETCH_WORKERS
+from detoxaudit.providers import DEFAULT_REWRITE_TEMPLATE, FETCH_WORKERS, STUB_DIMENSION
 from conftest import pool_threads
 
 
 class MockProvider:
     """Local HTTP endpoint with a programmable failure budget.
 
-    requests_seen counts the POSTs; peak_in_flight is the most POSTs
+    requests_seen counts the POSTs and headers_seen holds each one's
+    request headers, in arrival order; peak_in_flight is the most POSTs
     handled at once, each counted until its response is about to be sent
     (after an optional delay_s), so that a client's next request never
     overlaps its last one in the count.
@@ -43,6 +44,7 @@ class MockProvider:
         self.status_on_fail = status_on_fail
         self.delay_s = delay_s
         self.requests_seen = 0
+        self.headers_seen = []
         self.peak_in_flight = 0
         self._in_flight = 0
         self._lock = threading.Lock()
@@ -52,6 +54,7 @@ class MockProvider:
             def do_POST(self):
                 with outer._lock:
                     outer.requests_seen += 1
+                    outer.headers_seen.append(dict(self.headers))
                     seen = outer.requests_seen
                     outer._in_flight += 1
                     outer.peak_in_flight = max(outer.peak_in_flight, outer._in_flight)
@@ -138,6 +141,22 @@ class TestSentimentClient:
         elapsed = time.monotonic() - start
         assert server.requests_seen == cfg.max_retries + 1
         assert elapsed <= cfg.timeout * (cfg.max_retries + 1) + backoff_sum
+
+    def test_bearer_token_sent_exactly_when_set(self, mock_provider):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        SentimentClient(fast_cfg(server.url, auth_token="s3cret")).classify("hello")
+        SentimentClient(fast_cfg(server.url)).classify("hello")
+        with_token, without = server.headers_seen
+        assert with_token["Authorization"] == "Bearer s3cret"
+        assert "Authorization" not in without
+
+    def test_client_error_raises_without_retry(self, mock_provider):
+        server = mock_provider({}, fail_first=10**6, status_on_fail=404)
+        client = SentimentClient(fast_cfg(server.url))
+        with pytest.raises(ProviderError, match="bad response.*404"):
+            client.classify("hello")
+        assert server.requests_seen == 1
+        assert client.retries == 0
 
     def test_malformed_response(self, mock_provider):
         server = mock_provider({"unexpected": 1})
@@ -354,15 +373,9 @@ class TestRewriteClient:
         with pytest.raises(ProviderError, match="empty or refused"):
             client.rewrite(RewriteRequest("some lyrics"))
 
-    def test_template_placeholder_required(self):
-        with pytest.raises(ValueError):
-            RewriteRequest("x", prompt_template="no placeholder here")
-        with pytest.raises(ValueError):
-            RewriteRequest("x", prompt_template="[lyrics] twice [lyrics]")
-
     def test_prompt_substitution(self):
-        req = RewriteRequest("la la la", prompt_template="Fix: [lyrics]")
-        assert req.prompt() == "Fix: la la la"
+        head, tail = DEFAULT_REWRITE_TEMPLATE.split("[lyrics]")
+        assert RewriteRequest("la la la").prompt() == head + "la la la" + tail
 
 
 class TestStubs:
@@ -382,7 +395,7 @@ class TestStubs:
         v1, v2 = emb.embed("hello"), StubEmbedder().embed("hello")
         assert np.array_equal(v1, v2)
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
-        assert v1.shape == (768,)
+        assert v1.shape == (STUB_DIMENSION,)
 
     def test_stub_embedder_memo_cannot_be_changed_through_result(self):
         emb = StubEmbedder()
@@ -410,15 +423,12 @@ def texts_with_repeats(draw):
     return draw(st.lists(st.sampled_from(pool), max_size=24))
 
 
-STUB_DIMENSION = 16
-
-
 @pytest.fixture(scope="module")
 def stub_server():
     """Base URL of a loopback service answering ``sentiment`` and ``embedding``
     from the offline stubs. An embedding input containing "bad" gets an
     out-of-contract answer that quotes it, one containing "slow" waits 0.2 s."""
-    classifier, embedder = StubSentimentClassifier(), StubEmbedder(STUB_DIMENSION)
+    classifier, embedder = StubSentimentClassifier(), StubEmbedder()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -464,7 +474,7 @@ def lyric_docs_with_repeats(draw):
 def test_http_clients_match_stubs_on_lyric_docs(stub_server, orig, trans):
     classifier = SentimentClient(fast_cfg(stub_server + "sentiment"))
     embedder = EmbeddingClient(fast_cfg(stub_server + "embedding"))
-    stub_classifier, stub_embedder = StubSentimentClassifier(), StubEmbedder(STUB_DIMENSION)
+    stub_classifier, stub_embedder = StubSentimentClassifier(), StubEmbedder()
     for doc in (orig, trans):
         assert score_document(doc, classifier) == score_document(doc, stub_classifier)
     got = line_similarity(orig, trans, embedder).per_line
@@ -475,10 +485,10 @@ def test_http_clients_match_stubs_on_lyric_docs(stub_server, orig, trans):
 @settings(max_examples=40, deadline=None, database=None)
 @given(texts=texts_with_repeats())
 def test_memoized_stubs_match_fresh_instances(texts):
-    classifier, embedder = StubSentimentClassifier(), StubEmbedder(dimension=16)
+    classifier, embedder = StubSentimentClassifier(), StubEmbedder()
     for text in texts:
         assert classifier.classify(text) == StubSentimentClassifier().classify(text)
-        assert np.array_equal(embedder.embed(text), StubEmbedder(dimension=16).embed(text))
+        assert np.array_equal(embedder.embed(text), StubEmbedder().embed(text))
     assert classifier.call_count == len(set(texts))
 
 

@@ -6,8 +6,9 @@ noise-profile modes, at sample rates from 2 to 48 kHz, on noise buffers
 with exact-zero stretches (+0.0 or -0.0) at the head, middle and tail, at
 frame counts of the fewest a buffer can span, the frames in flight
 (BLOCK_WORKERS blocks), one frame more and two windows plus one. A one-frame STFT does not exist here: the
-shortest buffer accepted (frame_length - frame_length // 2 samples) spans
-five centred frames at both 2048/512 and 1024/256.
+shortest buffer accepted (SUBTRACT_FRAME_LENGTH - SUBTRACT_FRAME_LENGTH // 2
+samples) spans five centred frames. The output must also not depend on the
+block size of _map_blocks, bit for bit.
 """
 
 import tracemalloc
@@ -20,18 +21,19 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import preprocess_oracles
-from detoxaudit import PreprocessConfig, spectral_subtract
-from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS
+from detoxaudit import PreprocessConfig, audio_io, spectral_subtract
+from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS, SUBTRACT_FRAME_LENGTH, SUBTRACT_HOP
 from conftest import SR, buffer, make_noise, make_tone
 
 RTOL, ATOL = 1e-9, 1e-12
-FRAMINGS = ((2048, 512), (1024, 256))
+FRAMING = (SUBTRACT_FRAME_LENGTH, SUBTRACT_HOP)
 IN_FLIGHT = BLOCK_WORKERS * BLOCK_FRAMES  # frames in flight in _map_blocks
 FRAME_COUNTS = (None, IN_FLIGHT, IN_FLIGHT + 1, 2 * IN_FLIGHT + 1)
 
 
-def length_range(n_frames, frame_length, hop):
+def length_range(n_frames):
     """(shortest, longest) buffer length whose STFT has n_frames frames; None: the fewest."""
+    frame_length, hop = FRAMING
     sft = signal.ShortTimeFFT(signal.get_window("hann", frame_length), hop=hop, fs=1)
     shortest = frame_length - frame_length // 2
 
@@ -73,9 +75,8 @@ def noisy_with_silence(draw, n_samples):
 @settings(max_examples=15, deadline=None, database=None)
 @given(data=st.data())
 def test_matches_whole_track_oracle(n_frames, mode, data):
-    frame_length, hop = data.draw(st.sampled_from(FRAMINGS))
     rate = data.draw(st.integers(2000, 48000))
-    lo, hi = length_range(n_frames, frame_length, hop)
+    lo, hi = length_range(n_frames)
     n = data.draw(st.integers(lo, hi))
     cfg = PreprocessConfig(
         noise_profile_mode=mode,
@@ -84,26 +85,41 @@ def test_matches_whole_track_oracle(n_frames, mode, data):
         subtraction_floor=data.draw(st.floats(0.0, 0.2)),
     )
     buf = buffer(data.draw(noisy_with_silence(n)), sr=rate)
-    got = spectral_subtract(buf, cfg, frame_length, hop).samples
-    want = preprocess_oracles.spectral_subtract(buf, cfg, frame_length, hop).samples
+    got = spectral_subtract(buf, cfg).samples
+    want = preprocess_oracles.spectral_subtract(buf, cfg, *FRAMING).samples
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
-@pytest.mark.parametrize("frame_length, hop", FRAMINGS)
+@pytest.mark.parametrize("frame_length, hop", [FRAMING])
 def test_shorter_than_half_a_frame_rejected_like_oracle(frame_length, hop):
     cfg = PreprocessConfig(noise_profile_window=0.001)
     shortest = frame_length - frame_length // 2
     short = buffer(make_noise(1.0, seed=2)[: shortest - 1])
-    for kernel in (spectral_subtract, preprocess_oracles.spectral_subtract):
-        with pytest.raises(ValueError):
-            kernel(short, cfg, frame_length, hop)
+    with pytest.raises(ValueError):
+        spectral_subtract(short, cfg)
+    with pytest.raises(ValueError):
+        preprocess_oracles.spectral_subtract(short, cfg, frame_length, hop)
     ok = buffer(make_noise(1.0, seed=2)[:shortest])
     np.testing.assert_allclose(
-        spectral_subtract(ok, cfg, frame_length, hop).samples,
+        spectral_subtract(ok, cfg).samples,
         preprocess_oracles.spectral_subtract(ok, cfg, frame_length, hop).samples,
         rtol=RTOL, atol=ATOL,
     )
+
+
+@pytest.mark.parametrize("rows", (1, 16, 64))
+@pytest.mark.parametrize("mode", ("leading", "quietest"))
+def test_block_size_reaches_no_output(monkeypatch, mode, rows):
+    # a 2 s "leading" profile is 86 frames and "quietest" takes 52 of 520:
+    # both span several blocks at every size tried, as at BLOCK_FRAMES
+    sig = make_tone(220, 12.0) + 0.1 * make_noise(12.0, seed=8)
+    buf = buffer(sig)
+    cfg = PreprocessConfig(noise_profile_mode=mode, noise_profile_window=2.0)
+    want = spectral_subtract(buf, cfg).samples
+    map_blocks = audio_io._map_blocks
+    monkeypatch.setattr(audio_io, "_map_blocks", lambda fn, n: map_blocks(fn, n, rows))
+    assert np.array_equal(spectral_subtract(buf, cfg).samples, want)
 
 
 def traced_peak(fn):

@@ -240,6 +240,22 @@ class TestVoiceReport:
         b = voice_report(buffer(sig / 4))
         assert a == b
 
+    def test_too_little_voicing_for_periods(self):
+        # a 20 ms, 80 Hz burst voices two frames: enough for HNR, too few cycles for periods
+        x = np.zeros(SR // 2)
+        burst = make_tone(80, 0.02)
+        start = int(0.2 * SR)
+        x[start : start + len(burst)] = burst
+        buf = buffer(x)
+        track = estimate_f0(buf)
+        assert np.count_nonzero(track.voiced_flags) == 2
+        with pytest.raises(ValueError, match="insufficient voicing"):
+            extract_periods(buf, track)
+        metrics = voice_report(buf)
+        assert metrics.jitter is None
+        assert metrics.shimmer is None
+        assert metrics.hnr_db == pytest.approx(-3.23, abs=0.01)
+
 
 class TestRadarNormalize:
     def _metrics(self, h, c, j, s):
