@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import providers, report
-from .audio_io import AudioLoadError, PreprocessConfig
+from .audio_io import PreprocessConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -24,22 +24,25 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise AudioLoadError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} does not hold a JSON object")
+    return cfg
 
 
 def _preprocess_cfg(args) -> PreprocessConfig:
-    cfg = _load_config(getattr(args, "config", None))
+    cfg = _load_config(args.config)
     unknown = sorted(set(cfg) - set(PreprocessConfig.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     params = dict(cfg)
-    if getattr(args, "target_rate", None) is not None:
+    if args.target_rate is not None:
         params["target_rate"] = args.target_rate
-    if getattr(args, "max_seconds", None) is not None:
+    if args.max_seconds is not None:
         params["max_duration"] = args.max_seconds
-    if getattr(args, "no_denoise", False):
+    if args.no_denoise:
         params["denoise"] = False
     return PreprocessConfig(**params)
 
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError, AudioLoadError, report.StageError, ValueError) as exc:
+    except (FileNotFoundError, OSError, report.StageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except providers.ProviderError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,8 +20,9 @@ _HEADER_RE = re.compile(r"^\s*\[([^\]]+)\]\s*$")
 _STRIP_RE = re.compile(r"[^a-z0-9'*\s]")
 
 
+@functools.cache
 def default_stopwords() -> frozenset:
-    """The bundled English stopword list."""
+    """The bundled English stopword list, read once per process."""
     text = resources.files("detoxaudit.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 

@@ -14,12 +14,16 @@ of FETCH_WORKERS threads; the stubs compute serially.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +31,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import requests
 
 ENV_SENTIMENT_URL = "DETOX_SENTIMENT_URL"
 ENV_EMBED_URL = "DETOX_EMBED_URL"
@@ -159,33 +162,38 @@ class _HttpProvider(_Provider):
                 return self._parse(json.loads(path.read_text("utf-8")))
             except (ProviderError, ValueError):
                 pass  # a file that does not decode or breaks the contract: fetch it again
-        headers = {}
+        endpoint = self.cfg.endpoint
+        try:  # urlopen would retry a malformed endpoint, or read a file: URL
+            url = urllib.parse.urlsplit(endpoint)  # raises for e.g. "http://[::1"
+            url.port  # raises unless the port is absent or a number in 0-65535
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"{endpoint!r} is not an http or https URL with a host")
+        except ValueError as exc:
+            raise ProviderError(f"{self.name}: bad response: {exc}") from exc
+        headers = {"Content-Type": "application/json"}
         if self.cfg.auth_token:
             headers["Authorization"] = f"Bearer {self.cfg.auth_token}"
+        body = json.dumps({"input": text}).encode("utf-8")
         last_error = None
         for attempt in range(self.cfg.max_retries + 1):
             if attempt > 0:
                 time.sleep(self.cfg.backoff_base * 2 ** (attempt - 1))
                 with self._lock:
                     self.retries += 1
+            req = urllib.request.Request(endpoint, body, headers, method="POST")
             try:
-                resp = requests.post(
-                    self.cfg.endpoint,
-                    json={"input": text},
-                    headers=headers,
-                    timeout=self.cfg.timeout,
-                )
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    last_error = ProviderError(
-                        f"{self.name}: HTTP {resp.status_code} from {self.cfg.endpoint}"
-                    )
+                with urllib.request.urlopen(req, timeout=self.cfg.timeout) as resp:
+                    payload = json.loads(resp.read())
+            except urllib.error.HTTPError as exc:
+                exc.close()  # it holds the open response
+                if exc.code >= 500 or exc.code == 429:
+                    last_error = ProviderError(f"{self.name}: HTTP {exc.code} from {endpoint}")
                     continue
-                resp.raise_for_status()
-                payload = resp.json()
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                raise ProviderError(f"{self.name}: bad response: {exc}") from exc
+            except OSError as exc:  # refused, DNS, TLS, timeout, closed without an answer
                 last_error = exc
                 continue
-            except (requests.RequestException, ValueError) as exc:
+            except (http.client.HTTPException, ValueError) as exc:
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
             value = self._parse(payload)
             if path is not None:

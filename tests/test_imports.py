@@ -1,10 +1,11 @@
-"""Import hygiene: a lyric-only run never loads SciPy.
+"""Import hygiene: a lyric-only run never loads SciPy, and no run loads requests.
 
-SciPy is imported inside the audio functions that call it. Each check runs
-in a fresh interpreter, because this suite's conftest imports
-scipy.io.wavfile itself.
+SciPy is imported inside the audio functions that call it, and the HTTP
+clients speak through urllib.request. Each check runs in a fresh
+interpreter, because this suite's conftest imports scipy.io.wavfile itself.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,19 +16,22 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 LYRICS = Path(__file__).resolve().parent / "fixtures" / "lyrics.txt"
 
-# imports the package, report and cli, runs the CLI on argv when given, and
-# prints whether scipy was loaded as the last line of stderr
+# makes any import of requests fail, imports the package, report and cli,
+# runs the CLI on argv when given, and prints which of scipy, requests and
+# urllib3 were loaded, as a JSON list on the last line of stderr
 PROBE = """\
-import sys
+import json, sys
+sys.modules["requests"] = None
 import detoxaudit, detoxaudit.cli, detoxaudit.report
 code = detoxaudit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print("scipy" in sys.modules, file=sys.stderr)
+watched = ("scipy", "requests", "urllib3")
+print(json.dumps([m for m in watched if sys.modules.get(m) is not None]), file=sys.stderr)
 sys.exit(code)
 """
 
 
 def probe(*argv):
-    """(exit code, whether scipy was loaded) of PROBE run on argv."""
+    """The watched modules that PROBE loaded, run on argv; it must exit 0."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, argv)],
@@ -36,7 +40,8 @@ def probe(*argv):
         text=True,
         timeout=120,
     )
-    return proc.returncode, proc.stderr.splitlines()[-1] == "True"
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -45,12 +50,9 @@ def probe(*argv):
     ids=["import", "analyze-lyrics", "rewrite"],
 )
 def test_lyric_run_loads_no_scipy(argv):
-    code, scipy_loaded = probe(*argv)
-    assert code == 0
-    assert not scipy_loaded
+    assert probe(*argv) == []
 
 
 def test_audio_run_still_works(voiced_wav):
-    code, scipy_loaded = probe("analyze-audio", voiced_wav)
-    assert code == 0
-    assert scipy_loaded  # the probe does see an import made on first use
+    # the probe does see an import made on first use
+    assert probe("analyze-audio", voiced_wav) == ["scipy"]

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,20 @@ class TestCleanTokens:
     def test_default_stopwords_include_basics(self):
         sw = default_stopwords()
         assert "the" in sw and "a" in sw
+
+    def test_stopwords_read_once_per_process(self, monkeypatch):
+        reads = []
+        files = resources.files
+
+        def counting_files(package):
+            reads.append(package)
+            return files(package)
+
+        default_stopwords.cache_clear()
+        monkeypatch.setattr(resources, "files", counting_files)
+        parse_lyrics("[Chorus]\nthe night is young")
+        parse_lyrics("[Verse]\na day in the life")
+        assert reads == ["detoxaudit.data"]
 
 
 class TestNgramCounts:

@@ -31,11 +31,13 @@ from conftest import pool_threads
 class MockProvider:
     """Local HTTP endpoint with a programmable failure budget.
 
-    requests_seen counts the POSTs and headers_seen holds each one's
-    request headers, in arrival order; peak_in_flight is the most POSTs
-    handled at once, each counted until its response is about to be sent
-    (after an optional delay_s), so that a client's next request never
-    overlaps its last one in the count.
+    The first fail_first POSTs get status_on_fail, or, when it is None, a
+    connection closed without an answer. requests_seen counts the POSTs,
+    and headers_seen and bodies_seen hold each one's request headers (looked
+    up without regard to case) and body, in arrival order; peak_in_flight is
+    the most POSTs handled at once, each counted until its response is about
+    to be sent (after an optional delay_s), so that a client's next request
+    never overlaps its last one in the count.
     """
 
     def __init__(self, response, fail_first=0, status_on_fail=503, delay_s=0.0):
@@ -45,6 +47,7 @@ class MockProvider:
         self.delay_s = delay_s
         self.requests_seen = 0
         self.headers_seen = []
+        self.bodies_seen = []
         self.peak_in_flight = 0
         self._in_flight = 0
         self._lock = threading.Lock()
@@ -52,18 +55,22 @@ class MockProvider:
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                posted = self.rfile.read(length)
                 with outer._lock:
                     outer.requests_seen += 1
-                    outer.headers_seen.append(dict(self.headers))
+                    outer.headers_seen.append(self.headers)
+                    outer.bodies_seen.append(posted)
                     seen = outer.requests_seen
                     outer._in_flight += 1
                     outer.peak_in_flight = max(outer.peak_in_flight, outer._in_flight)
-                length = int(self.headers.get("Content-Length", 0))
-                self.rfile.read(length)
                 time.sleep(outer.delay_s)
                 with outer._lock:
                     outer._in_flight -= 1
                 if seen <= outer.fail_first:
+                    if outer.status_on_fail is None:
+                        self.close_connection = True
+                        return
                     self.send_response(outer.status_on_fail)
                     self.end_headers()
                     return
@@ -149,6 +156,50 @@ class TestSentimentClient:
         with_token, without = server.headers_seen
         assert with_token["Authorization"] == "Bearer s3cret"
         assert "Authorization" not in without
+
+    def test_post_body_is_the_input_as_json(self, mock_provider):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        SentimentClient(fast_cfg(server.url)).classify("naïve \"line\" ♥")
+        (headers,), (body,) = server.headers_seen, server.bodies_seen
+        assert json.loads(body) == {"input": "naïve \"line\" ♥"}
+        assert headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["", "http://", "localhost:8000", "ftp://example.invalid/x", "file:///etc/hostname",
+         "http://127.0.0.1:99999/"],
+    )
+    def test_malformed_endpoint_fails_at_once(self, endpoint):
+        cfg = ProviderConfig(endpoint=endpoint, timeout=2.0, max_retries=2, backoff_base=1.0)
+        client = SentimentClient(cfg)
+        start = time.monotonic()
+        with pytest.raises(ProviderError, match="bad response"):
+            client.classify("hello")
+        assert time.monotonic() - start < cfg.backoff_base / 2
+        assert client.retries == 0
+
+    def test_file_url_is_never_read(self, tmp_path):
+        answer = tmp_path / "answer.json"
+        answer.write_text(json.dumps({"label": "POSITIVE", "score": 0.9}))
+        client = SentimentClient(fast_cfg(answer.as_uri()))
+        with pytest.raises(ProviderError, match="bad response"):
+            client.classify("hello")
+
+    def test_server_slower_than_timeout_is_retried(self, mock_provider):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9}, delay_s=1.0)
+        cfg = fast_cfg(server.url, timeout=0.2, max_retries=1)
+        client = SentimentClient(cfg)
+        with pytest.raises(ProviderError, match="giving up"):
+            client.classify("hello")
+        assert client.retries == cfg.max_retries
+        assert server.requests_seen == cfg.max_retries + 1
+
+    def test_connection_closed_without_answer_is_retried(self, mock_provider):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9}, fail_first=2, status_on_fail=None)
+        client = SentimentClient(fast_cfg(server.url))
+        assert client.classify("hello") == ("POSITIVE", 0.9)
+        assert client.retries == 2
+        assert server.requests_seen == 3
 
     def test_client_error_raises_without_retry(self, mock_provider):
         server = mock_provider({}, fail_first=10**6, status_on_fail=404)

@@ -307,6 +307,26 @@ class TestCli:
         assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
         assert "target_rte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content", ["[1, 2]", "null", '"abc"', None, "{"],
+        ids=["list", "null", "string", "missing", "bad-json"],
+    )
+    @pytest.mark.parametrize("via", ["--config", "DETOX_CONFIG"])
+    def test_config_not_a_readable_object_exit_code_1(
+        self, tmp_path, voiced_wav, monkeypatch, capsys, content, via
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        argv = ["analyze-audio", str(voiced_wav)]
+        if via == "--config":
+            argv += ["--config", str(cfg_path)]
+        else:
+            monkeypatch.setenv("DETOX_CONFIG", str(cfg_path))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg_path) in err
+
     def test_compare_offline_with_emit(self, fixture_pair, capsys):
         out_path = fixture_pair["tmp_path"] / "report.json"
         code = main([
