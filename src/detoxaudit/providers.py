@@ -83,6 +83,16 @@ def _cache_key(provider: str, model: str, text: str) -> str:
     return digest
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect, so the Authorization header never reaches another URL."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None  # the 3xx is raised as an HTTPError
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
 class _Provider:
     """One memo per provider instance, keyed by the input text, behind one lock."""
 
@@ -163,11 +173,12 @@ class _HttpProvider(_Provider):
             except (ProviderError, ValueError):
                 pass  # a file that does not decode or breaks the contract: fetch it again
         endpoint = self.cfg.endpoint
-        try:  # urlopen would retry a malformed endpoint, or read a file: URL
+        try:  # the opener would retry a malformed endpoint, or read a file: URL
             url = urllib.parse.urlsplit(endpoint)  # raises for e.g. "http://[::1"
             url.port  # raises unless the port is absent or a number in 0-65535
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ValueError(f"{endpoint!r} is not an http or https URL with a host")
+            has_user = url.username is not None  # urllib would take "user@" for the host
+            if url.scheme not in ("http", "https") or not url.hostname or has_user:
+                raise ValueError(f"{endpoint!r} is not an http or https URL with a host, no user")
         except ValueError as exc:
             raise ProviderError(f"{self.name}: bad response: {exc}") from exc
         headers = {"Content-Type": "application/json"}
@@ -182,15 +193,23 @@ class _HttpProvider(_Provider):
                     self.retries += 1
             req = urllib.request.Request(endpoint, body, headers, method="POST")
             try:
-                with urllib.request.urlopen(req, timeout=self.cfg.timeout) as resp:
-                    payload = json.loads(resp.read())
-            except urllib.error.HTTPError as exc:
+                resp = _OPENER.open(req, timeout=self.cfg.timeout)
+            except urllib.error.HTTPError as exc:  # any status but 2xx, a redirect included
                 exc.close()  # it holds the open response
                 if exc.code >= 500 or exc.code == 429:
                     last_error = ProviderError(f"{self.name}: HTTP {exc.code} from {endpoint}")
                     continue
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
-            except OSError as exc:  # refused, DNS, TLS, timeout, closed without an answer
+            except http.client.InvalidURL as exc:  # e.g. a space in the path; no retry mends it
+                raise ProviderError(f"{self.name}: bad response: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                # refused, DNS, TLS, timeout, or no status line and headers that parse
+                last_error = exc
+                continue
+            try:
+                with resp:
+                    payload = json.loads(resp.read())
+            except OSError as exc:  # timeout or dropped connection in the body
                 last_error = exc
                 continue
             except (http.client.HTTPException, ValueError) as exc:

@@ -31,19 +31,23 @@ from conftest import pool_threads
 class MockProvider:
     """Local HTTP endpoint with a programmable failure budget.
 
-    The first fail_first POSTs get status_on_fail, or, when it is None, a
-    connection closed without an answer. requests_seen counts the POSTs,
-    and headers_seen and bodies_seen hold each one's request headers (looked
-    up without regard to case) and body, in arrival order; peak_in_flight is
-    the most POSTs handled at once, each counted until its response is about
-    to be sent (after an optional delay_s), so that a client's next request
-    never overlaps its last one in the count.
+    The first fail_first requests get status_on_fail, sent with a Location
+    header when redirect_to is set; when status_on_fail is None, a connection
+    closed without an answer; when it is bytes, those bytes verbatim and then
+    the connection closed. A GET, as a followed redirect sends, is handled as
+    a POST. requests_seen counts the requests, and headers_seen and
+    bodies_seen hold each one's request headers (looked up without regard to
+    case) and body, in arrival order; peak_in_flight is the most requests
+    handled at once, each counted until its response is about to be sent
+    (after an optional delay_s), so that a client's next request never
+    overlaps its last one in the count.
     """
 
-    def __init__(self, response, fail_first=0, status_on_fail=503, delay_s=0.0):
+    def __init__(self, response, fail_first=0, status_on_fail=503, redirect_to=None, delay_s=0.0):
         self.response = response
         self.fail_first = fail_first
         self.status_on_fail = status_on_fail
+        self.redirect_to = redirect_to
         self.delay_s = delay_s
         self.requests_seen = 0
         self.headers_seen = []
@@ -71,7 +75,13 @@ class MockProvider:
                     if outer.status_on_fail is None:
                         self.close_connection = True
                         return
+                    if isinstance(outer.status_on_fail, bytes):
+                        self.wfile.write(outer.status_on_fail)
+                        self.close_connection = True
+                        return
                     self.send_response(outer.status_on_fail)
+                    if outer.redirect_to is not None:
+                        self.send_header("Location", outer.redirect_to)
                     self.end_headers()
                     return
                 body = json.dumps(outer.response).encode()
@@ -80,6 +90,8 @@ class MockProvider:
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass
@@ -167,7 +179,8 @@ class TestSentimentClient:
     @pytest.mark.parametrize(
         "endpoint",
         ["", "http://", "localhost:8000", "ftp://example.invalid/x", "file:///etc/hostname",
-         "http://127.0.0.1:99999/"],
+         "http://127.0.0.1:99999/", "http://user@127.0.0.1/", "http://user:pw@127.0.0.1/",
+         "http://127.0.0.1/a b"],
     )
     def test_malformed_endpoint_fails_at_once(self, endpoint):
         cfg = ProviderConfig(endpoint=endpoint, timeout=2.0, max_retries=2, backoff_base=1.0)
@@ -200,6 +213,37 @@ class TestSentimentClient:
         assert client.classify("hello") == ("POSITIVE", 0.9)
         assert client.retries == 2
         assert server.requests_seen == 3
+
+    def test_malformed_status_line_is_retried(self, mock_provider):
+        server = mock_provider(
+            {"label": "POSITIVE", "score": 0.9}, fail_first=2, status_on_fail=b"garbage\r\n"
+        )
+        client = SentimentClient(fast_cfg(server.url))
+        assert client.classify("hello") == ("POSITIVE", 0.9)
+        assert client.retries == 2
+        assert server.requests_seen == 3
+
+    def test_truncated_body_raises_without_retry(self, mock_provider):
+        truncated = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"
+        server = mock_provider({}, fail_first=10**6, status_on_fail=truncated)
+        client = SentimentClient(fast_cfg(server.url))
+        with pytest.raises(ProviderError, match="bad response"):
+            client.classify("hello")
+        assert server.requests_seen == 1
+        assert client.retries == 0
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_raises_and_token_never_leaves(self, mock_provider, status):
+        elsewhere = mock_provider({"label": "POSITIVE", "score": 0.9})
+        server = mock_provider(
+            {}, fail_first=10**6, status_on_fail=status, redirect_to=elsewhere.url
+        )
+        client = SentimentClient(fast_cfg(server.url, auth_token="s3cret"))
+        with pytest.raises(ProviderError, match=f"bad response.*{status}"):
+            client.classify("hello")
+        assert server.requests_seen == 1
+        assert elsewhere.requests_seen == 0
+        assert client.retries == 0
 
     def test_client_error_raises_without_retry(self, mock_provider):
         server = mock_provider({}, fail_first=10**6, status_on_fail=404)
