@@ -42,7 +42,6 @@ class AudioBuffer:
     samples: np.ndarray
     sample_rate: int
     silent: bool = False
-    preprocessed: bool = False
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -254,8 +253,6 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
     problem = _too_short_to_denoise(buf, cfg)
     if problem:
         raise ValueError(problem)
-    if not np.any(x):
-        return buf
     from scipy import fft, signal
 
     hop = SUBTRACT_HOP
@@ -318,19 +315,13 @@ def normalize(buf: AudioBuffer) -> AudioBuffer:
 
 
 def preprocess(buf: AudioBuffer, cfg: PreprocessConfig | None = None) -> AudioBuffer:
-    """Run the full preprocessing chain in order.
-
-    Already-preprocessed buffers are returned unchanged so the
-    non-idempotent pre-emphasis step never runs twice.
-    """
+    """Run the full preprocessing chain in order, on every call: a second
+    call on its own output applies pre-emphasis twice."""
     cfg = cfg or PreprocessConfig()
-    if buf.preprocessed:
-        return buf
     out = resample(buf, cfg.target_rate)
     out = truncate(out, cfg.max_duration)
     out = preemphasis(out, cfg.preemphasis_alpha)
     if cfg.denoise and not _too_short_to_denoise(out, cfg):
         out = spectral_subtract(out, cfg)
     out = highpass(out, cfg.highpass_cutoff)
-    out = normalize(out)
-    return replace(out, preprocessed=True)
+    return normalize(out)

@@ -34,9 +34,17 @@ def _load_config(path: str | None) -> dict:
 
 def _preprocess_cfg(args) -> PreprocessConfig:
     cfg = _load_config(args.config)
-    unknown = sorted(set(cfg) - set(PreprocessConfig.__dataclass_fields__))
+    fields = PreprocessConfig.__dataclass_fields__
+    unknown = sorted(set(cfg) - set(fields))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in cfg.items():
+        want = type(fields[key].default)  # bool, int, float or str
+        # bool is an int to isinstance, and a float field takes a JSON integer too
+        if isinstance(value, bool) != (want is bool) or not isinstance(
+            value, (int, float) if want is float else want
+        ):
+            raise ValueError(f"config key {key}: expected {want.__name__}, got {json.dumps(value)}")
     params = dict(cfg)
     if args.target_rate is not None:
         params["target_rate"] = args.target_rate
@@ -51,8 +59,8 @@ def _providers(args):
     if args.offline:
         return providers.StubSentimentClassifier(), providers.StubEmbedder()
     return (
-        providers.sentiment_client_from_env(),
-        providers.embedding_client_from_env(),
+        providers.client_from_env(providers.SentimentClient, providers.ENV_SENTIMENT_URL),
+        providers.client_from_env(providers.EmbeddingClient, providers.ENV_EMBED_URL),
     )
 
 
@@ -105,7 +113,10 @@ def cmd_compare(args) -> int:
 def cmd_rewrite(args) -> int:
     text = Path(args.lyrics).read_text(encoding="utf-8")
     req = providers.RewriteRequest(text)
-    client = providers.StubRewriter() if args.offline else providers.rewrite_client_from_env()
+    if args.offline:
+        client = providers.StubRewriter()
+    else:
+        client = providers.client_from_env(providers.RewriteClient, providers.ENV_REWRITE_URL)
     print(client.rewrite(req))
     return EXIT_OK
 

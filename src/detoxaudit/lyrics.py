@@ -55,7 +55,6 @@ class SentimentScore:
 
 @dataclass(frozen=True)
 class NgramTable:
-    n: int
     counts: dict
 
     def top(self, k: int) -> list:
@@ -66,7 +65,7 @@ class NgramTable:
 @dataclass(frozen=True)
 class SimilaritySeries:
     per_line: np.ndarray
-    unpaired: int = 0
+    unpaired: int
 
     @property
     def rolling(self) -> np.ndarray:
@@ -135,7 +134,7 @@ def ngram_counts(doc: LyricDoc, n: int) -> NgramTable:
     for toks in doc.tokens:
         for i in range(len(toks) - n + 1):
             counts[toks[i : i + n]] += 1
-    return NgramTable(n, dict(counts))
+    return NgramTable(dict(counts))
 
 
 def standardize_sentiment(label: str, score: float) -> float:
@@ -207,7 +206,7 @@ def line_similarity(orig: LyricDoc, trans: LyricDoc, embedder) -> SimilaritySeri
             raise ValueError(f"zero-norm embedding for line pair {i}")
         sims[i] = float(va @ vb / (na * nb))
     unpaired = max(len(orig), len(trans)) - n
-    return SimilaritySeries(sims, unpaired=unpaired)
+    return SimilaritySeries(sims, unpaired)
 
 
 def rolling_mean(series, window: int) -> np.ndarray:

@@ -5,14 +5,15 @@ LLM lyric rewriting. All speak the same minimal protocol: POST
 ``{"input": <text>}``; responses are ``{"label", "score"}``,
 ``{"vector": [...]}`` and ``{"text": "..."}`` respectively. Each client
 retries transient failures with exponential backoff and caches the
-responses that meet its contract on disk, keyed by (provider, model, input
-hash). All but the stub rewriter memoize their results by input text. An
-HTTP client fetches a batch of texts (``prefetch``) through a fixed pool
+responses that meet its contract on disk, keyed by (provider, input hash).
+All but the stub rewriter memoize their results by input text. An HTTP
+client fetches a batch of texts (``prefetch``) through a fixed pool
 of FETCH_WORKERS threads; the stubs compute serially.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import json
@@ -29,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,7 +61,6 @@ class ProviderConfig:
     max_retries: int = 3
     backoff_base: float = 1.0
     cache_dir: str | None = None
-    model: str = "default"
 
     def __post_init__(self):
         if not (math.isfinite(self.timeout) and self.timeout > 0):
@@ -78,9 +79,9 @@ class RewriteRequest:
         return DEFAULT_REWRITE_TEMPLATE.replace("[lyrics]", self.lyrics)
 
 
-def _cache_key(provider: str, model: str, text: str) -> str:
-    digest = hashlib.sha256(f"{provider}|{model}|{text}".encode("utf-8")).hexdigest()
-    return digest
+def _cache_key(provider: str, text: str) -> str:
+    # the literal "default" keeps the file names of existing caches valid
+    return hashlib.sha256(f"{provider}|default|{text}".encode("utf-8")).hexdigest()
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -166,7 +167,7 @@ class _HttpProvider(_Provider):
         A payload is written to disk only after _parse accepts it, and _parse
         runs again on every disk read.
         """
-        path = self._cache_path(_cache_key(self.name, self.cfg.model, text))
+        path = self._cache_path(_cache_key(self.name, text))
         if path is not None and path.exists():
             try:
                 return self._parse(json.loads(path.read_text("utf-8")))
@@ -299,7 +300,9 @@ def _check_length_contract(original: str, rewritten: str):
         )
 
 
-def _load_lexicon() -> dict:
+@functools.cache
+def _load_lexicon() -> MappingProxyType:
+    """The bundled lexicon, word -> replacement, read once per process."""
     text = resources.files("detoxaudit.data").joinpath("profanity_lexicon.txt").read_text("utf-8")
     lexicon = {}
     for line in text.splitlines():
@@ -308,7 +311,7 @@ def _load_lexicon() -> dict:
             continue
         word, _, replacement = line.partition("\t")
         lexicon[word.lower()] = replacement or "friend"
-    return lexicon
+    return MappingProxyType(lexicon)
 
 
 class StubSentimentClassifier(_Provider):
@@ -371,22 +374,6 @@ class StubRewriter:
         return result
 
 
-def sentiment_client_from_env(**overrides) -> SentimentClient:
-    return SentimentClient(_cfg_from_env(ENV_SENTIMENT_URL, **overrides))
-
-
-def embedding_client_from_env(**overrides) -> EmbeddingClient:
-    return EmbeddingClient(_cfg_from_env(ENV_EMBED_URL, **overrides))
-
-
-def rewrite_client_from_env(**overrides) -> RewriteClient:
-    return RewriteClient(_cfg_from_env(ENV_REWRITE_URL, **overrides))
-
-
-def _cfg_from_env(url_var: str, **overrides) -> ProviderConfig:
-    params = {
-        "endpoint": os.environ.get(url_var, ""),
-        "auth_token": os.environ.get(ENV_API_TOKEN, ""),
-    }
-    params.update(overrides)
-    return ProviderConfig(**params)
+def client_from_env(cls, url_var: str):
+    """An HTTP client of class cls for $url_var and $DETOX_API_TOKEN, other settings default."""
+    return cls(ProviderConfig(os.environ.get(url_var, ""), os.environ.get(ENV_API_TOKEN, "")))

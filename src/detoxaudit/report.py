@@ -33,7 +33,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 @dataclass(frozen=True)

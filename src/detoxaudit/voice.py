@@ -239,8 +239,6 @@ def hnr(buf: AudioBuffer, track: PitchTrack) -> float | None:
     of each multiple of f0 counts as harmonic; the remainder is noise.
     Frames are capped at HNR_CAP_DB before averaging.
     """
-    if track.voiced_fraction == 0:
-        return None
     sr = buf.sample_rate
     x = buf.samples
     frame_length = HNR_FRAME_LENGTH
@@ -352,13 +350,12 @@ def voice_report(buf: AudioBuffer) -> VoiceMetrics:
     except ValueError:
         cpp_val = None
     jitter_val = shimmer_val = None
-    if track.voiced_fraction > 0:
-        try:
-            seq = extract_periods(buf, track)
-            jitter_val = jitter(seq)
-            shimmer_val = shimmer(seq)
-        except ValueError:
-            pass
+    try:
+        seq = extract_periods(buf, track)
+        jitter_val = jitter(seq)
+        shimmer_val = shimmer(seq)
+    except ValueError:
+        pass
     return VoiceMetrics(hnr_val, cpp_val, jitter_val, shimmer_val, track.voiced_fraction)
 
 

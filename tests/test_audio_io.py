@@ -226,11 +226,6 @@ class TestPreprocess:
         out = preprocess(buffer(0.3 * make_tone(440, 3.0)))
         assert np.abs(out.samples).max() == pytest.approx(1.0)
 
-    def test_preprocessed_marker_prevents_second_pass(self):
-        out = preprocess(buffer(make_tone(440, 3.0)))
-        again = preprocess(out)
-        assert np.array_equal(out.samples, again.samples)
-
     def test_silent_input_flagged(self):
         out = preprocess(buffer(np.zeros(SR * 2)))
         assert out.silent

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -279,6 +280,14 @@ class TestSentimentClient:
         SentimentClient(cfg).classify("hello")
         assert server.requests_seen == 1
 
+    def test_cache_file_name_is_stable(self, mock_provider, tmp_path):
+        # sha256 of "sentiment|default|<text>": the name caches written so far carry
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        cache = tmp_path / "cache"
+        SentimentClient(fast_cfg(server.url, cache_dir=str(cache))).classify("hello")
+        name = hashlib.sha256(b"sentiment|default|hello").hexdigest() + ".json"
+        assert [p.name for p in cache.iterdir()] == [name]
+
     def test_out_of_contract_response_never_cached(self, mock_provider, tmp_path):
         server = mock_provider({"label": "MAYBE", "score": 0.5})
         cache = tmp_path / "cache"
@@ -510,6 +519,12 @@ class TestStubs:
     def test_stub_rewriter_deterministic(self):
         req = RewriteRequest("kill the gun violence")
         assert StubRewriter().rewrite(req) == StubRewriter().rewrite(req)
+
+    def test_stubs_share_one_read_only_lexicon(self):
+        lexicon = StubSentimentClassifier()._lexicon
+        assert StubRewriter()._lexicon is lexicon is StubSentimentClassifier()._lexicon
+        with pytest.raises(TypeError):
+            lexicon["hate"] = "love"
 
 
 @st.composite

@@ -308,6 +308,35 @@ class TestCli:
         assert "target_rte" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value, want",
+        [
+            ("denoise", "no", "bool"),
+            ("denoise", 1, "bool"),
+            ("max_duration", None, "float"),
+            ("highpass_cutoff", True, "float"),
+            ("target_rate", "16000", "int"),
+            ("target_rate", True, "int"),
+            ("target_rate", 16000.0, "int"),
+            ("noise_profile_mode", 5, "str"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exit_code_1(
+        self, tmp_path, voiced_wav, capsys, key, value, want
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"config key {key}: expected {want}, got {json.dumps(value)}"
+        assert captured.err == f"error: {message}\n"
+
+    def test_config_float_field_takes_an_integer(self, tmp_path, voiced_wav, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"max_duration": 1, "highpass_cutoff": 80}))
+        assert main(["analyze-audio", str(voiced_wav), "--config", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize(
         "content", ["[1, 2]", "null", '"abc"', None, "{"],
         ids=["list", "null", "string", "missing", "bad-json"],
     )
