@@ -7,11 +7,8 @@ function over an immutable AudioBuffer.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +20,6 @@ import numpy as np
 # CPP); at 4096-sample HNR frames a block's complex spectrum takes 1 MiB and
 # each float temporary 512 KiB
 BLOCK_FRAMES = 32
-# threads of _map_blocks, and the blocks it keeps in flight (64 frames)
-BLOCK_WORKERS = 2
 HIGHPASS_ORDER = 4
 # spectral subtraction's STFT framing, in samples
 SUBTRACT_FRAME_LENGTH = 2048
@@ -181,42 +176,6 @@ def _blocks(n: int, rows: int = BLOCK_FRAMES):
     return (slice(i, min(i + rows, n)) for i in range(0, n, rows))
 
 
-def _map_blocks(fn, n: int, rows: int = BLOCK_FRAMES):
-    """Yield fn(block) for each slice of _blocks(n, rows), in block order.
-
-    The blocks run on a pool of BLOCK_WORKERS threads that lives for the
-    call, with at most BLOCK_WORKERS blocks in flight; fn's numpy and FFT
-    calls release the GIL. A call with one block runs inline. Once a block
-    fails, no further block starts, and the error of the earliest failing
-    block is raised after every pool thread has finished.
-    """
-    if n <= rows:
-        yield from map(fn, _blocks(n, rows))
-        return
-    failed = False
-
-    def run(block):
-        nonlocal failed
-        try:
-            return fn(block)
-        except BaseException:
-            failed = True
-            raise
-
-    blocks = _blocks(n, rows)
-    pool = ThreadPoolExecutor(BLOCK_WORKERS, thread_name_prefix="detoxaudit-block")
-    try:
-        pending = deque(pool.submit(run, b) for b in islice(blocks, BLOCK_WORKERS))
-        while pending:
-            result = pending.popleft().result()
-            block = None if failed else next(blocks, None)
-            if block is not None:
-                pending.append(pool.submit(run, block))
-            yield result
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _too_short_to_denoise(buf: AudioBuffer, cfg) -> str | None:
     """Why buf is too short for spectral subtraction (None if it is not): it needs more
     samples than the noise profile window, and half a frame for a centred STFT."""
@@ -239,15 +198,15 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
 
     The frames are those of scipy's ShortTimeFFT.stft: SUBTRACT_FRAME_LENGTH
     samples, Hann-windowed, centred on multiples of SUBTRACT_HOP, zero-padded
-    at both ends. They are processed BLOCK_FRAMES at a time by _map_blocks
-    (rfft, subtract, irfft, times the synthesis window), then overlap-added
-    in block order, so besides the input, one padded copy of it and the
-    output, memory is bounded by the blocks in flight, not by the track. The
-    phase is kept by scaling each bin by cleaned / |X|; a bin with |X| == 0,
-    as in digital silence, has no phase to scale and gets cleaned times
-    exp(1j * angle(X)), as ShortTimeFFT.istft would. "quietest" mode makes
-    one extra blocked pass for the frame energies. Every sum runs in frame
-    order, so the block size reaches no output.
+    at both ends. They are processed BLOCK_FRAMES at a time, in order (rfft,
+    subtract, irfft, times the synthesis window, overlap-add), so besides
+    the input, one padded copy of it and the output, memory is bounded by
+    one block, not by the track. The phase is kept by scaling each bin by
+    cleaned / |X|; a bin with |X| == 0, as in digital silence, has no phase
+    to scale and gets cleaned times exp(1j * angle(X)), as
+    ShortTimeFFT.istft would. "quietest" mode makes one extra blocked pass
+    for the frame energies. Every sum runs in frame order, so the block
+    size reaches no output.
     """
     x = buf.samples
     problem = _too_short_to_denoise(buf, cfg)
@@ -274,18 +233,19 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
         chosen = np.arange(min(max(1, n_profile // hop), n_frames))
     else:
         energy = np.concatenate(
-            list(_map_blocks(lambda b: (np.abs(spectra(b)) ** 2).sum(axis=1), n_frames))
+            [(np.abs(spectra(b)) ** 2).sum(axis=1) for b in _blocks(n_frames)]
         )
         chosen = np.argsort(energy)[: max(1, int(0.1 * n_frames))]
     # one running sum over the chosen frames in order, as numpy's axis-0 sum adds them
     noise = np.zeros(m // 2 + 1)
-    for mags in _map_blocks(lambda b: np.abs(spectra(chosen[b])), len(chosen)):
-        for row in mags:
+    for b in _blocks(len(chosen)):
+        for row in np.abs(spectra(chosen[b])):
             noise += row
     noise /= len(chosen)
     floor = cfg.subtraction_floor * noise
 
-    def clean(b):
+    out = np.zeros(len(padded))
+    for b in _blocks(n_frames):
         spec = spectra(b)
         mags = np.abs(spec)
         cleaned = np.maximum(mags - noise, floor)
@@ -296,11 +256,7 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
         gain[bare] = 0.0
         spec *= gain
         spec[bare] = cleaned[bare] * phase
-        return b, np.roll(fft.irfft(spec, n=m, axis=1), mid, axis=1) * sft.dual_win
-
-    out = np.zeros(len(padded))
-    # the overlap-add stays here, in block order, so that every sum is the serial one
-    for b, rebuilt in _map_blocks(clean, n_frames):
+        rebuilt = np.roll(fft.irfft(spec, n=m, axis=1), mid, axis=1) * sft.dual_win
         for row, frame in zip(range(b.start, b.stop), rebuilt):
             out[row * hop : row * hop + m] += frame
     return replace(buf, samples=out[head : head + len(x)])

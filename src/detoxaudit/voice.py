@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import BLOCK_FRAMES, AudioBuffer, _frames, _map_blocks
+from .audio_io import AudioBuffer, _blocks, _frames
 from .dsp import frame_rms
 
-# f0 frames are short and an f0 block is some 40 small numpy calls: in blocks
-# of BLOCK_FRAMES, two threads spend more time handing over the GIL than they
-# gain. Two doubled blocks still peak below spectral subtraction's two blocks.
-F0_BLOCK_FRAMES = 2 * BLOCK_FRAMES
 HNR_CAP_DB = 40.0
 HNR_FRAME_LENGTH = 4096  # halved, down to 1024, while longer than the buffer
 HNR_HARMONIC_HALFWIDTH_BINS = 2.0  # bins either side of h * f0 counted as harmonic
@@ -45,6 +41,10 @@ class PitchTrack:
     frame_times: np.ndarray
     f0: np.ndarray  # Hz; NaN where unvoiced
     voiced_flags: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.frame_times) == len(self.f0) == len(self.voiced_flags):
+            raise ValueError("frame_times, f0 and voiced_flags must have equal length")
 
     @property
     def voiced_fraction(self) -> float:
@@ -158,7 +158,7 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
         ok = (energy > 0) & ~weak & (cfg.fmin <= freq) & (freq <= cfg.fmax)
         return ks[ok], freq[ok]
 
-    for ks, freq in _map_blocks(pitch, len(gated), F0_BLOCK_FRAMES):
+    for ks, freq in map(pitch, _blocks(len(gated))):
         f0[ks] = freq
         voiced[ks] = True
 
@@ -187,7 +187,7 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
         raise ValueError("insufficient voicing")
     sr = buf.sample_rate
     x = buf.samples
-    hop = float(np.median(np.diff(track.frame_times))) if len(track.frame_times) > 1 else 0.01
+    hop = float(np.median(np.diff(track.frame_times)))  # two voiced frames: two frame times
 
     # cycle boundaries (a, b), in samples, of every voiced run
     cycles = []
@@ -272,7 +272,7 @@ def hnr(buf: AudioBuffer, track: PitchTrack) -> float | None:
         # a frame with noise but no harmonic energy has no finite ratio and is dropped
         return np.where(e_noise <= 0, HNR_CAP_DB, db)[(e_noise <= 0) | (e_harm > 0)]
 
-    values = list(_map_blocks(ratios, len(ks)))
+    values = list(map(ratios, _blocks(len(ks))))
     values = np.concatenate(values) if values else np.empty(0)
     if len(values) == 0:
         return None
@@ -314,7 +314,7 @@ def cpp(buf: AudioBuffer) -> float | None:
         slope = (band @ q_dev) / (q_dev @ q_dev)
         return peak - (band.mean(axis=1) + slope * q_dev[i_peak])
 
-    values = np.concatenate(list(_map_blocks(prominences, len(frames))))
+    values = np.concatenate(list(map(prominences, _blocks(len(frames)))))
     if len(values) == 0:
         return None
     return float(np.mean(values))

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,18 +11,32 @@ SR = 22050
 
 
 def pool_threads():
-    """Names of live pool threads: _map_blocks' and every HTTP client's prefetch.
-    Counted by name: the loopback servers' handler threads may still be closing
-    their sockets when a call returns."""
-    names = (t.name for t in threading.enumerate())
-    return [n for n in names if n.startswith("detoxaudit-block") or "-fetch" in n]
+    """Names of live pool threads: every HTTP client's prefetch, the package's
+    only threads. Counted by name: the loopback servers' handler threads may
+    still be closing their sockets when a call returns."""
+    return [t.name for t in threading.enumerate() if "-fetch" in t.name]
 
 
 @pytest.fixture(autouse=True)
 def no_pool_thread_left():
-    """Fail a test that leaves a block or prefetch pool thread running."""
+    """Fail a test that leaves a prefetch pool thread running."""
     yield
     assert pool_threads() == []
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs, above what was traced before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def make_tone(freq, seconds=2.0, sr=SR, amp=1.0):

@@ -1,6 +1,4 @@
-import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +19,10 @@ from detoxaudit import (
     spectral_subtract,
     stft,
     truncate,
+    voice_report,
 )
-from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS, _blocks, _map_blocks
-from conftest import SR, buffer, make_noise, make_tone, pool_threads, write_wav
+from detoxaudit.audio_io import BLOCK_FRAMES, _blocks
+from conftest import SR, buffer, make_noise, make_tone, write_wav
 
 
 class TestLoadTrack:
@@ -296,90 +295,25 @@ class TestPreprocess:
         assert out.silent or np.abs(out.samples).max() == 1.0
 
 
-def block_index(b: slice) -> int:
-    return b.start // BLOCK_FRAMES
+@pytest.mark.parametrize("n", (0, 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES + 1))
+def test_blocks_cover_range_in_order(n):
+    blocks = list(_blocks(n))
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+    assert all(0 < b.stop - b.start <= BLOCK_FRAMES for b in blocks)
 
 
-class TestMapBlocks:
-    @pytest.mark.parametrize(
-        "n", (0, 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES + 1)
-    )
-    def test_yields_in_block_order(self, n):
-        def fn(b):
-            # the first block finishes last: the order follows the blocks, not the clock
-            time.sleep(0.02 if b.start == 0 else 0.0)
-            return np.sqrt(np.arange(b.start, b.stop))
+def test_audio_path_starts_no_thread(monkeypatch, voiced_wav):
+    """Every framed kernel walks its blocks in the calling thread. The 3.7 s
+    stem spans several blocks of each: 163 subtraction frames ("quietest"
+    mode adds the energy pass), 367 f0 frames and 78 CPP frames."""
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = list(_map_blocks(fn, n))
-        finally:
-            sys.setswitchinterval(interval)
-        want = [fn(b) for b in _blocks(n)]
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
 
-    def test_one_block_runs_inline(self):
-        names = list(_map_blocks(lambda b: threading.current_thread().name, BLOCK_FRAMES))
-        assert names == [threading.current_thread().name]
-
-    def test_keeps_at_most_block_workers_in_flight(self):
-        lock = threading.Lock()
-        now = peak = 0
-
-        def fn(b):
-            nonlocal now, peak
-            with lock:
-                now += 1
-                peak = max(peak, now)
-            time.sleep(0.005)
-            with lock:
-                now -= 1
-            return threading.current_thread().name
-
-        names = list(_map_blocks(fn, 10 * BLOCK_FRAMES))
-        assert 2 <= peak <= BLOCK_WORKERS
-        assert all(name.startswith("detoxaudit-block") for name in names)
-        assert pool_threads() == []
-
-    def test_raises_error_of_earliest_failing_block(self):
-        def fn(b):
-            # block 1 fails after block 2 has failed
-            if block_index(b) == 1:
-                time.sleep(0.05)
-                raise ValueError("block 1")
-            if block_index(b) == 2:
-                raise ValueError("block 2")
-            return b
-
-        with pytest.raises(ValueError, match="block 1"):
-            list(_map_blocks(fn, 10 * BLOCK_FRAMES))
-        assert pool_threads() == []
-
-    def test_no_block_starts_after_a_failure(self):
-        started = []
-        block3_failed = threading.Event()
-
-        def fn(b):
-            started.append(block_index(b))
-            if block_index(b) == 2:
-                # block 2, still in flight, finishes after block 3 has failed
-                block3_failed.wait(5)
-                time.sleep(0.1)
-            if block_index(b) == 3:
-                block3_failed.set()
-                raise ValueError("block 3")
-            return b
-
-        consumed = []
-        with pytest.raises(ValueError, match="block 3"):
-            for b in _map_blocks(fn, 10 * BLOCK_FRAMES):
-                consumed.append(block_index(b))
-                time.sleep(0.02)  # time enough for a wrongly submitted block to start
-        assert consumed == [0, 1, 2]
-        assert sorted(started) == [0, 1, 2, 3]
-        assert pool_threads() == []
+    buf = load_track(voiced_wav)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    metrics = voice_report(preprocess(buf, PreprocessConfig(noise_profile_mode="quietest")))
+    assert None not in (metrics.hnr_db, metrics.cpp, metrics.jitter, metrics.shimmer)
 
 
 def test_truncate_keeps_head():

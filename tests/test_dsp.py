@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detoxaudit import RmsSeries, SectionMap, frame_rms, rms_stats, slice_sections, stft
-from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS, _frames
+from detoxaudit.audio_io import BLOCK_FRAMES, _frames
 from detoxaudit.dsp import load_section_map
 from conftest import SR, buffer, make_tone
 
@@ -82,11 +82,10 @@ class TestFrameRms:
             frame_rms(buffer(make_tone(440, 1.0)), 2048, hop)
 
 
-# one frame (one block, run inline), the frames in flight, one more, and two windows plus one
-IN_FLIGHT = BLOCK_WORKERS * BLOCK_FRAMES
-
-
-@pytest.mark.parametrize("n_frames", (1, IN_FLIGHT, IN_FLIGHT + 1, 2 * IN_FLIGHT + 1))
+# one frame, two whole blocks, one frame more, and four blocks plus one
+@pytest.mark.parametrize(
+    "n_frames", (1, 2 * BLOCK_FRAMES, 2 * BLOCK_FRAMES + 1, 4 * BLOCK_FRAMES + 1)
+)
 @settings(max_examples=20, deadline=None, database=None)
 @given(data=st.data())
 def test_blocked_frame_rms_equals_whole_track(n_frames, data):

@@ -4,14 +4,13 @@ The oracle in preprocess_oracles.py is the original ShortTimeFFT
 implementation. Outputs must agree to rel 1e-9 (abs 1e-12 floor) in both
 noise-profile modes, at sample rates from 2 to 48 kHz, on noise buffers
 with exact-zero stretches (+0.0 or -0.0) at the head, middle and tail, at
-frame counts of the fewest a buffer can span, the frames in flight
-(BLOCK_WORKERS blocks), one frame more and two windows plus one. A one-frame STFT does not exist here: the
-shortest buffer accepted (SUBTRACT_FRAME_LENGTH - SUBTRACT_FRAME_LENGTH // 2
-samples) spans five centred frames. The output must also not depend on the
-block size of _map_blocks, bit for bit.
+frame counts of the fewest a buffer can span, two blocks of BLOCK_FRAMES,
+one frame more and four blocks plus one. A one-frame STFT does not exist
+here: the shortest buffer accepted (SUBTRACT_FRAME_LENGTH -
+SUBTRACT_FRAME_LENGTH // 2 samples) spans five centred frames. The output
+must also not depend on the block size of _blocks, bit for bit.
 """
 
-import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -22,13 +21,12 @@ from scipy import signal
 
 import preprocess_oracles
 from detoxaudit import PreprocessConfig, audio_io, spectral_subtract
-from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS, SUBTRACT_FRAME_LENGTH, SUBTRACT_HOP
-from conftest import SR, buffer, make_noise, make_tone
+from detoxaudit.audio_io import BLOCK_FRAMES, SUBTRACT_FRAME_LENGTH, SUBTRACT_HOP
+from conftest import SR, buffer, make_noise, make_tone, traced_peak
 
 RTOL, ATOL = 1e-9, 1e-12
 FRAMING = (SUBTRACT_FRAME_LENGTH, SUBTRACT_HOP)
-IN_FLIGHT = BLOCK_WORKERS * BLOCK_FRAMES  # frames in flight in _map_blocks
-FRAME_COUNTS = (None, IN_FLIGHT, IN_FLIGHT + 1, 2 * IN_FLIGHT + 1)
+FRAME_COUNTS = (None, 2 * BLOCK_FRAMES, 2 * BLOCK_FRAMES + 1, 4 * BLOCK_FRAMES + 1)
 
 
 def length_range(n_frames):
@@ -117,24 +115,9 @@ def test_block_size_reaches_no_output(monkeypatch, mode, rows):
     buf = buffer(sig)
     cfg = PreprocessConfig(noise_profile_mode=mode, noise_profile_window=2.0)
     want = spectral_subtract(buf, cfg).samples
-    map_blocks = audio_io._map_blocks
-    monkeypatch.setattr(audio_io, "_map_blocks", lambda fn, n: map_blocks(fn, n, rows))
+    blocks = audio_io._blocks
+    monkeypatch.setattr(audio_io, "_blocks", lambda n: blocks(n, rows))
     assert np.array_equal(spectral_subtract(buf, cfg).samples, want)
-
-
-def traced_peak(fn):
-    """Peak bytes traced by tracemalloc while fn runs, above what was traced before it."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("mode", ("leading", "quietest"))

@@ -65,6 +65,12 @@ class TestEstimateF0:
         assert np.all(track.voiced_f0() == SR / 50)
 
 
+@pytest.mark.parametrize("times, f0, flags", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_pitch_track_rejects_unequal_lengths(times, f0, flags):
+    with pytest.raises(ValueError, match="must have equal length"):
+        PitchTrack(np.arange(times) * 0.01, np.full(f0, 220.0), np.ones(flags, dtype=bool))
+
+
 class TestExtractPeriods:
     def test_pure_100hz_periods(self):
         buf = buffer(make_tone(100, 2.0))

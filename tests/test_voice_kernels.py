@@ -3,10 +3,9 @@
 The loops in voice_loops.py are the reference. Values must agree to rel
 1e-9 (abs 1e-12 floor) and voicing decisions exactly, on random
 harmonic-plus-noise buffers with leading and trailing silence, at frame
-counts of 1 (one block, run inline), 64 and 65. For HNR and CPP, 64 is
-the frames in flight (BLOCK_WORKERS blocks of BLOCK_FRAMES); for f0 it is
-one block of F0_BLOCK_FRAMES, and 65 starts a second one. The period walk must equal its loop exactly, and jitter and shimmer must match their loops on random
-period sequences.
+counts of 1 (one block), 64 (two whole blocks of BLOCK_FRAMES) and 65
+(a third block of one frame). The period walk must equal its loop exactly,
+and jitter and shimmer must match their loops on random period sequences.
 
 voice_report must not depend on the level of a preprocessed stem: HNR,
 jitter, shimmer and the voiced fraction are ratios, so scaling the stem by
@@ -36,11 +35,11 @@ from detoxaudit import (
     shimmer,
     voice_report,
 )
-from detoxaudit.audio_io import BLOCK_FRAMES, BLOCK_WORKERS
-from conftest import SR, buffer
+from detoxaudit.audio_io import BLOCK_FRAMES
+from conftest import SR, buffer, make_harmonic, make_noise, traced_peak
 
 RTOL, ATOL = 1e-9, 1e-12
-FRAME_COUNTS = (1, BLOCK_WORKERS * BLOCK_FRAMES, BLOCK_WORKERS * BLOCK_FRAMES + 1)
+FRAME_COUNTS = (1, 2 * BLOCK_FRAMES, 2 * BLOCK_FRAMES + 1)
 
 F0_FRAME = int(round(PitchConfig.frame_seconds * SR))
 F0_HOP = int(round(PitchConfig.hop_seconds * SR))
@@ -217,3 +216,12 @@ def test_cpp_does_not_depend_on_level():
     lead = 0.002 * rng.standard_normal(SR // 2)
     base, scaled = scaled_reports(buffer(np.concatenate([lead, voice])), 3.7)
     assert_same_metric(scaled["cpp"], base["cpp"])
+
+
+def test_voice_report_memory_bounded_by_the_stem():
+    # each kernel holds one block of frames at a time, so the peak does not grow with the track
+    sig = make_harmonic(220, seconds=60.0) + 0.05 * make_noise(60.0, seed=7)
+    sig[: SR // 2] = 0.002 * make_noise(0.5, seed=8)
+    buf = buffer(sig)
+    peak = traced_peak(lambda: voice_report(buf))
+    assert peak < 2 * buf.samples.nbytes
