@@ -79,7 +79,7 @@ def cmd_analyze_audio(args) -> int:
 
 def cmd_analyze_lyrics(args) -> int:
     classifier, _ = _providers(args)
-    result = report.analyze_lyrics(args.lyrics, classifier)
+    _, result = report.analyze_lyrics(args.lyrics, classifier)
     out = {k: result[k] for k in ("line_count", "sentiment", "ngrams")}
     print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
@@ -171,13 +171,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError, report.StageError, ValueError) as exc:
+    except (OSError, report.StageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except providers.ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

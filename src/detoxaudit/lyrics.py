@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -29,18 +29,11 @@ def default_stopwords() -> frozenset:
 
 @dataclass(frozen=True)
 class LyricDoc:
-    """Sections of raw lines, plus cleaned token lists per line."""
+    """Raw lines in document order, each with its section label and cleaned tokens."""
 
-    sections: tuple  # ((label, (line, ...)), ...)
-    tokens: tuple  # one token tuple per line, in document order
-
-    @property
-    def lines(self) -> list:
-        return [line for _, section_lines in self.sections for line in section_lines]
-
-    @property
-    def line_labels(self) -> list:
-        return [label for label, section_lines in self.sections for _ in section_lines]
+    lines: tuple  # (line, ...)
+    line_labels: tuple  # (label, ...), one per line
+    tokens: tuple  # (token tuple, ...), one per line
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -91,39 +84,26 @@ def clean_tokens(line: str, stopwords) -> list:
 
 
 def parse_lyrics(text: str) -> LyricDoc:
-    """Parse raw lyric text into labeled sections and cleaned tokens.
+    """Parse raw lyric text into lines, their section labels and cleaned tokens.
 
     `[Label]` headers start a new section ("Verse 2" folds to "verse");
     lines before any header land in "unknown". Blank lines are dropped.
     Tokens are cleaned against the bundled stopword list.
     """
     stopwords = default_stopwords()
-    sections = []
-    current_label = None
-    current_lines = []
-
-    def flush():
-        if current_lines:
-            sections.append((current_label or "unknown", tuple(current_lines)))
-
+    lines, labels, tokens = [], [], []
+    label = "unknown"
     for raw in text.splitlines():
         header = _HEADER_RE.match(raw)
         if header:
-            flush()
-            current_label = _fold_label(header.group(1))
-            current_lines = []
+            label = _fold_label(header.group(1))
             continue
         line = raw.strip()
         if line:
-            current_lines.append(line)
-    flush()
-
-    tokens = tuple(
-        tuple(clean_tokens(line, stopwords))
-        for _, section_lines in sections
-        for line in section_lines
-    )
-    return LyricDoc(tuple(sections), tokens)
+            lines.append(line)
+            labels.append(label)
+            tokens.append(tuple(clean_tokens(line, stopwords)))
+    return LyricDoc(tuple(lines), tuple(labels), tuple(tokens))
 
 
 def ngram_counts(doc: LyricDoc, n: int) -> NgramTable:

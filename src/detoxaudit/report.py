@@ -68,17 +68,17 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     """
     try:
         raw = load_track(stem)
-    except Exception as exc:
+    except ValueError as exc:
         raise StageError("stage 2 (audio load)", str(exc)) from exc
     try:
         buf = preprocess(raw, cfg)
-    except Exception as exc:
+    except ValueError as exc:
         raise StageError("stage 3 (preprocessing)", str(exc)) from exc
     if not len(buf.samples):
         raise StageError("stage 3 (preprocessing)", f"no samples left in {stem}")
     try:
         metrics = voice_report(buf)
-    except Exception as exc:
+    except ValueError as exc:
         raise StageError("stage 5 (voice metrics)", str(exc)) from exc
     series = frame_rms(buf)
     rms = rms_stats(series)
@@ -130,8 +130,11 @@ def _audio_side(bundle: TrackBundle, cfg: PreprocessConfig) -> dict:
     return {**result, **_plot_data(buf)}
 
 
-def analyze_lyrics(path, classifier) -> dict:
-    """Parse and score one lyric file: line count, sentiment table, top n-grams."""
+def analyze_lyrics(path, classifier) -> tuple:
+    """Parse and score one lyric file; returns (document, result).
+
+    result holds the line count, the sentiment table, the per-line scores and the top n-grams.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -148,8 +151,7 @@ def analyze_lyrics(path, classifier) -> dict:
         ]
         for n in (2, 3)
     }
-    return {
-        "doc": doc,
+    return doc, {
         "line_count": len(doc),
         "sentiment": table,
         "per_line_scores": [s.standardized for s in scores],
@@ -210,21 +212,19 @@ def run_pipeline(
 
     bundles = {"original": original, "transformed": transformed}
     audio = {side: _audio_side(b, cfg) for side, b in bundles.items()}
-    lyric = {side: analyze_lyrics(b.lyrics, classifier) for side, b in bundles.items()}
+    docs, lyric = {}, {}
+    for side, b in bundles.items():
+        docs[side], lyric[side] = analyze_lyrics(b.lyrics, classifier)
 
     try:
-        sims = lyr.line_similarity(lyric["original"]["doc"], lyric["transformed"]["doc"], embedder)
+        sims = lyr.line_similarity(docs["original"], docs["transformed"], embedder)
     except ValueError as exc:
         raise StageError("stage 4 (semantic analysis)", str(exc)) from exc
 
-    sides = {}
-    for side in ("original", "transformed"):
-        ldata = {k: v for k, v in lyric[side].items() if k != "doc"}
-        sides[side] = {
-            "artist_id": bundles[side].artist_id,
-            "audio": audio[side],
-            "lyrics": ldata,
-        }
+    sides = {
+        side: {"artist_id": b.artist_id, "audio": audio[side], "lyrics": lyric[side]}
+        for side, b in bundles.items()
+    }
 
     report = {
         "artist_id": original.artist_id,

@@ -40,15 +40,18 @@ class PitchConfig:
 class PitchTrack:
     frame_times: np.ndarray
     f0: np.ndarray  # Hz; NaN where unvoiced
-    voiced_flags: np.ndarray
 
     def __post_init__(self):
-        if not len(self.frame_times) == len(self.f0) == len(self.voiced_flags):
-            raise ValueError("frame_times, f0 and voiced_flags must have equal length")
+        if len(self.frame_times) != len(self.f0):
+            raise ValueError("frame_times and f0 must have equal length")
+
+    @property
+    def voiced_flags(self) -> np.ndarray:
+        return ~np.isnan(self.f0)
 
     @property
     def voiced_fraction(self) -> float:
-        if len(self.voiced_flags) == 0:
+        if len(self.f0) == 0:
             return 0.0
         return float(np.mean(self.voiced_flags))
 
@@ -108,12 +111,11 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
 
     x = buf.samples
     if len(x) < frame_len:
-        return PitchTrack(np.empty(0), np.empty(0), np.zeros(0, dtype=bool))
+        return PitchTrack(np.empty(0), np.empty(0))
 
     rms = frame_rms(buf, frame_len, hop)
     n_frames = len(rms.values)
     f0 = np.full(n_frames, np.nan)
-    voiced = np.zeros(n_frames, dtype=bool)
     frames = _frames(x, frame_len, hop)
     gate = cfg.silence_gate * (rms.values.max() if rms.values.max() > 0 else 1.0)
 
@@ -160,9 +162,8 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
 
     for ks, freq in map(pitch, _blocks(len(gated))):
         f0[ks] = freq
-        voiced[ks] = True
 
-    return PitchTrack(rms.frame_times, f0, voiced)
+    return PitchTrack(rms.frame_times, f0)
 
 
 def _rising_crossings(x: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -183,7 +184,8 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
     the gap between consecutive boundaries; A_i is the peak-to-peak
     amplitude of each cycle.
     """
-    if int(np.sum(track.voiced_flags)) < 2:
+    v = track.voiced_flags
+    if np.count_nonzero(v) < 2:
         raise ValueError("insufficient voicing")
     sr = buf.sample_rate
     x = buf.samples
@@ -193,11 +195,10 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
     cycles = []
 
     # walk each contiguous voiced run independently
-    v = track.voiced_flags
     starts = np.flatnonzero(v & ~np.r_[False, v[:-1]])
     ends = np.flatnonzero(v & ~np.r_[v[1:], False])
     for s, e in zip(starts, ends):
-        f0_local = float(np.nanmedian(track.f0[s : e + 1]))
+        f0_local = float(np.median(track.f0[s : e + 1]))
         period = sr / f0_local  # samples
         i0 = int(track.frame_times[s] * sr)
         i1 = min(int((track.frame_times[e] + hop) * sr) + 1, len(x))
@@ -291,8 +292,9 @@ def cpp(buf: AudioBuffer) -> float | None:
     level of the buffer. A buffer shorter than one frame raises ValueError.
     """
     sr = buf.sample_rate
-    frames = _frames(buf.samples, CPP_FRAME_LENGTH, CPP_HOP)
-    level = np.max(np.abs(buf.samples))
+    x = buf.samples
+    frames = _frames(x, CPP_FRAME_LENGTH, CPP_HOP)
+    level = max(x.max(), -x.min())  # max|x| without a stem-sized temporary
     if level == 0:
         return None
     q_lo = int(np.floor(sr / CPP_F_SEARCH[1]))

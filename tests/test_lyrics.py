@@ -18,25 +18,45 @@ from detoxaudit import (
     StubEmbedder,
     StubSentimentClassifier,
 )
-from detoxaudit.lyrics import default_stopwords
+from detoxaudit.lyrics import SECTION_ORDER, default_stopwords
+
+
+# one piece per line: (text, the label a header piece starts, or None)
+_HEADERS = st.builds(
+    lambda name, number, pad: (f"{pad}[{name}{number}]{pad}", name.lower()),
+    st.sampled_from(["Verse", "CHORUS", "bridge", "Intro", "outro", "Hook", "Pre-Chorus"]),
+    st.sampled_from(["", " 2", " 10"]),
+    st.sampled_from(["", " ", "\t"]),
+)
+_BLANKS = st.sampled_from(["", " ", "\t  "])
+_WORDS = st.builds(
+    lambda words, pad: pad + " ".join(words) + pad,
+    st.lists(st.sampled_from(["the", "Fox", "don't", "wet-*ss", "[]", "run!"]), min_size=1),
+    st.sampled_from(["", "  "]),
+)
+_PIECES = st.one_of(_HEADERS, st.one_of(_BLANKS, _WORDS).map(lambda text: (text, None)))
 
 
 class TestParseLyrics:
     def test_single_chorus(self):
         doc = parse_lyrics("[Chorus]\nhello world")
-        assert doc.sections == (("chorus", ("hello world",)),)
+        assert doc.lines == ("hello world",)
+        assert doc.line_labels == ("chorus",)
 
     def test_numbered_labels_fold(self):
         doc = parse_lyrics("[Verse 2]\na\n[Outro]\nb")
-        assert doc.sections == (("verse", ("a",)), ("outro", ("b",)))
+        assert doc.lines == ("a", "b")
+        assert doc.line_labels == ("verse", "outro")
 
     def test_lines_before_header_are_unknown(self):
         doc = parse_lyrics("stray line\n[Verse]\nreal line")
-        assert doc.sections[0] == ("unknown", ("stray line",))
+        assert doc.lines == ("stray line", "real line")
+        assert doc.line_labels == ("unknown", "verse")
 
     def test_blank_lines_dropped(self):
         doc = parse_lyrics("[Verse]\n\nfirst\n\n\nsecond\n")
-        assert doc.sections == (("verse", ("first", "second")),)
+        assert doc.lines == ("first", "second")
+        assert doc.line_labels == ("verse", "verse")
 
     def test_empty_input(self):
         doc = parse_lyrics("")
@@ -44,11 +64,28 @@ class TestParseLyrics:
 
     def test_case_insensitive_labels(self):
         doc = parse_lyrics("[CHORUS]\nx\n[bridge]\ny\n[Intro]\nz")
-        assert [label for label, _ in doc.sections] == ["chorus", "bridge", "intro"]
+        assert doc.line_labels == ("chorus", "bridge", "intro")
 
     def test_unrecognized_label_becomes_unknown(self):
         doc = parse_lyrics("[Hook]\nline")
-        assert doc.sections[0][0] == "unknown"
+        assert doc.line_labels == ("unknown",)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        pieces=st.lists(_PIECES, max_size=12),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_lines_labels_and_tokens_align(self, pieces, newline):
+        doc = parse_lyrics(newline.join(text for text, _ in pieces))
+        want_labels, label = [], "unknown"
+        for text, starts in pieces:
+            if starts is not None:
+                label = starts if starts in SECTION_ORDER else "unknown"
+            elif text.strip():
+                want_labels.append(label)
+        assert len(doc.lines) == len(doc.line_labels) == len(doc.tokens) == len(doc)
+        assert all(line and line == line.strip() for line in doc.lines)
+        assert doc.line_labels == tuple(want_labels)
 
 
 class TestCleanTokens:

@@ -411,6 +411,17 @@ class TestCli:
         code = main(["analyze-lyrics", str(fixture_pair["orig_lyrics"])])
         assert code == 2
 
+    @pytest.mark.parametrize("target", [
+        "detoxaudit.report.load_track", "detoxaudit.report.preprocess", "detoxaudit.voice.hnr",
+    ])
+    def test_bug_in_a_stage_exit_code_3(self, voiced_wav, monkeypatch, capsys, target):
+        def broken(*args):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr(target, broken)
+        assert main(["analyze-audio", str(voiced_wav)]) == 3
+        assert capsys.readouterr().err == "internal error: index 7 is out of bounds\n"
+
     def test_rewrite_offline(self, fixture_pair, capsys):
         assert main(["rewrite", str(fixture_pair["orig_lyrics"]), "--offline"]) == 0
         out = capsys.readouterr().out

@@ -65,10 +65,10 @@ class TestEstimateF0:
         assert np.all(track.voiced_f0() == SR / 50)
 
 
-@pytest.mark.parametrize("times, f0, flags", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
-def test_pitch_track_rejects_unequal_lengths(times, f0, flags):
+@pytest.mark.parametrize("times, f0", [(2, 3), (3, 2)])
+def test_pitch_track_rejects_unequal_lengths(times, f0):
     with pytest.raises(ValueError, match="must have equal length"):
-        PitchTrack(np.arange(times) * 0.01, np.full(f0, 220.0), np.ones(flags, dtype=bool))
+        PitchTrack(np.arange(times) * 0.01, np.full(f0, 220.0))
 
 
 class TestExtractPeriods:
@@ -94,7 +94,7 @@ class TestExtractPeriods:
         x = np.full(400, -1.0)
         for c in (10, 100, 120, 200, 300):
             x[c], x[c + 1] = 0.0, 1.0
-        track = PitchTrack(np.arange(40) * 0.01, np.full(40, 10.0), np.ones(40, dtype=bool))
+        track = PitchTrack(np.arange(40) * 0.01, np.full(40, 10.0))
         seq = extract_periods(buffer(x, sr=1000), track)
         assert seq.periods.tolist() == [0.09, 0.1, 0.1]
         assert seq.amplitudes.tolist() == [2.0, 2.0, 2.0]
@@ -137,8 +137,7 @@ class TestHnr:
         buf = buffer(sig / np.abs(sig).max())
 
         def track(times):
-            n = len(times)
-            return PitchTrack(np.array(times), np.full(n, 220.0), np.ones(n, bool))
+            return PitchTrack(np.array(times), np.full(len(times), 220.0))
 
         # the 0.98 s frame runs past the end: frames after it are not used
         assert hnr(buf, track([0.0, 0.98, 0.1])) == hnr(buf, track([0.0]))

@@ -117,7 +117,7 @@ def test_hnr_matches_loop(n_frames, frame_length, data):
                   SR / 2 + rng.uniform(0, 2.5 * SR / frame_length, n_track),
                   np.exp(rng.uniform(np.log(50.0), np.log(12000.0), n_track)))
     voiced = rng.uniform(size=n_track) < data.draw(st.floats(0.1, 1.0))
-    track = PitchTrack(np.arange(n_track) * hop / SR, np.where(voiced, f0, np.nan), voiced)
+    track = PitchTrack(np.arange(n_track) * hop / SR, np.where(voiced, f0, np.nan))
     assert_same_metric(hnr(buf, track), voice_loops.hnr(buf, track))
 
 
@@ -149,7 +149,7 @@ def test_extract_periods_matches_loop(data):
     run = data.draw(st.integers(1, 40))  # voicing decided per run of frames
     voiced = np.repeat(rng.uniform(size=n_track) < data.draw(st.floats(0.1, 1.0)), run)[:n_track]
     f0 = np.where(voiced, np.exp(rng.uniform(np.log(60.0), np.log(500.0), n_track)), np.nan)
-    track = PitchTrack(np.arange(n_track) * F0_HOP / SR, f0, voiced)
+    track = PitchTrack(np.arange(n_track) * F0_HOP / SR, f0)
     try:
         want = voice_loops.extract_periods(buf, track)
     except ValueError as exc:
@@ -218,10 +218,20 @@ def test_cpp_does_not_depend_on_level():
     assert_same_metric(scaled["cpp"], base["cpp"])
 
 
-def test_voice_report_memory_bounded_by_the_stem():
-    # each kernel holds one block of frames at a time, so the peak does not grow with the track
+@pytest.fixture(scope="module")
+def long_stem():
+    """60 s of voice after a quiet half-second lead-in."""
     sig = make_harmonic(220, seconds=60.0) + 0.05 * make_noise(60.0, seed=7)
     sig[: SR // 2] = 0.002 * make_noise(0.5, seed=8)
-    buf = buffer(sig)
-    peak = traced_peak(lambda: voice_report(buf))
-    assert peak < 2 * buf.samples.nbytes
+    return buffer(sig)
+
+
+def test_voice_report_memory_bounded_by_the_stem(long_stem):
+    # each kernel holds one block of frames at a time, so the peak does not grow with the track
+    peak = traced_peak(lambda: voice_report(long_stem))
+    assert peak < 2 * long_stem.samples.nbytes
+
+
+def test_cpp_measures_the_level_without_a_stem_sized_temporary(long_stem):
+    peak = traced_peak(lambda: cpp(long_stem))
+    assert peak < 0.5 * long_stem.samples.nbytes

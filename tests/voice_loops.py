@@ -44,10 +44,9 @@ def estimate_f0(buf, cfg=None):
     n_frames = max(0, 1 + (len(x) - frame_len) // hop)
     times = np.arange(n_frames) * hop / sr
     f0 = np.full(n_frames, np.nan)
-    voiced = np.zeros(n_frames, dtype=bool)
 
     if n_frames == 0:
-        return PitchTrack(times, f0, voiced)
+        return PitchTrack(times, f0)
 
     frames = x[np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]]
     frame_rms_vals = np.sqrt((frames**2).mean(axis=1))
@@ -80,9 +79,8 @@ def estimate_f0(buf, cfg=None):
         freq = sr / lag
         if cfg.fmin <= freq <= cfg.fmax:
             f0[k] = freq
-            voiced[k] = True
 
-    return PitchTrack(times, f0, voiced)
+    return PitchTrack(times, f0)
 
 
 def extract_periods(buf, track):
