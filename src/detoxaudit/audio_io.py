@@ -13,14 +13,25 @@ from pathlib import Path
 
 import numpy as np
 
-# SciPy is imported inside the functions that call it, so that a lyric-only
-# run never pays its start-up time or memory
+# SciPy is imported only by load_track, for scipy.io.wavfile, so that a
+# lyric-only run never pays its start-up time or memory. The filters and
+# windows are numpy code that matches scipy.signal (see the tests' oracles).
 
 # frames per step of every framed kernel (spectral subtraction, RMS, f0, HNR,
 # CPP); at 4096-sample HNR frames a block's complex spectrum takes 1 MiB and
 # each float temporary 512 KiB
 BLOCK_FRAMES = 32
 HIGHPASS_ORDER = 4
+# samples of odd extension at each end of the zero-phase high-pass, as
+# sosfiltfilt's default padlen for HIGHPASS_ORDER // 2 sections: a buffer of
+# this many samples or fewer is refused
+HIGHPASS_PAD = 3 * (HIGHPASS_ORDER + 1)
+# entries of one table of filter taps in resample (2 MiB)
+RESAMPLE_TABLE = 2**18
+# samples per block of the high-pass's block-matrix recursion; of 32 to 256,
+# 48 ran fastest on 15 and 30 s stems (2 vCPUs), and no size moved the result
+# by more than round-off
+FILTER_BLOCK = 48
 # spectral subtraction's STFT framing, in samples
 SUBTRACT_FRAME_LENGTH = 2048
 SUBTRACT_HOP = 512
@@ -109,16 +120,92 @@ def load_track(path) -> AudioBuffer:
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Band-limited (polyphase) resampling to target_rate."""
+    """Band-limited polyphase resampling to target_rate.
+
+    The output is that of scipy.signal.resample_poly(x, up, down) with its
+    defaults, to round-off: up/down is the rate ratio in lowest terms, the
+    low-pass is a Kaiser-windowed (beta 5) sinc of 20 * max(up, down) + 1
+    taps cut off at 1 / max(up, down) of Nyquist, the input reads as zero
+    beyond both ends, and the ceil(n * up / down) output samples are centred
+    on the filter's delay.
+
+    The output is computed in rows of `periods * up` samples, each from the
+    `periods * down` inputs of its span and the filter's reach around them:
+    every row is the same matrix product of its inputs with a table of the
+    taps, so all rows are a few BLAS products over strided views of the stem.
+    """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if buf.sample_rate == target_rate:
         return buf
-    from scipy import signal
-
     ratio = Fraction(target_rate, buf.sample_rate)
-    out = signal.resample_poly(buf.samples, ratio.numerator, ratio.denominator)
-    return replace(buf, samples=out, sample_rate=target_rate)
+    up, down = ratio.numerator, ratio.denominator
+    half = 10 * max(up, down)
+    lead = down - half % down  # zero taps put in front, as resample_poly does
+    taps = np.concatenate([np.zeros(lead), up * _lowpass(2 * half + 1, 1 / max(up, down))])
+    skip = (half + lead) // down  # leading outputs of the full convolution dropped
+    reach = -(-len(taps) // up)  # inputs that one output reads, at most
+    periods = -(-reach // down)  # so that a row's inputs span at least the reach
+    step, width = periods * down, periods * up
+    x = buf.samples
+    n_out = -(-len(x) * up // down)
+    out = np.empty((-(-n_out // width), width))
+    # the row's outputs in parts whose tables hold at most RESAMPLE_TABLE taps
+    part = width
+    while part > 1 and part * ((part - 1) * down // up + reach + 2) > RESAMPLE_TABLE:
+        part //= 2
+    for first in range(0, width, part):
+        # output o of a row reads input i of its span through tap o * down - i * up,
+        # counted from the row's first output and input (shifted by `skip` outputs)
+        grid = (np.arange(first, min(first + part, width)) + skip) * down
+        start = (grid[0] - len(taps)) // up + 1
+        index = grid - np.arange(start, grid[-1] // up + 1)[:, None] * up
+        valid = (index >= 0) & (index < len(taps))
+        table = np.where(valid, taps[np.where(valid, index, 0)], 0.0)
+        _window_products(x, table, start, step, out[:, first : first + len(grid)])
+    return replace(buf, samples=out.reshape(-1)[:n_out], sample_rate=target_rate)
+
+
+def _lowpass(numtaps: int, cutoff: float) -> np.ndarray:
+    """scipy.signal.firwin(numtaps, cutoff, window=("kaiser", 5.0)): a windowed
+    sinc low-pass, cutoff relative to Nyquist, scaled to unit gain at DC."""
+    m = np.arange(numtaps) - (numtaps - 1) / 2
+    h = cutoff * np.sinc(cutoff * m)
+    h *= np.i0(5.0 * np.sqrt(1 - (m / ((numtaps - 1) / 2)) ** 2.0)) / np.i0(5.0)
+    return h / h.sum()
+
+
+def _window_products(x: np.ndarray, table: np.ndarray, start: int, step: int, out: np.ndarray) -> None:
+    """out[q] = x[s : s + len(table)] @ table for s = start + q * step, x reading
+    as zero outside its bounds.
+
+    Windows inside x are read as strided views of it, in column chunks no
+    wider than `step`, so that their rows lie apart in memory and BLAS takes
+    them; a few thousand rows at a time bound the temporaries. Only the
+    windows that cross an end of x are read from a zero-padded copy of the
+    samples they touch.
+    """
+    span, count = len(table), len(out)
+    lo = min(count, max(0, -(start // step)))  # first window that starts at or after 0
+    hi = max(lo, min(count, (len(x) - span - start) // step + 1))  # after the last inside x
+    for rows in _blocks(hi - lo, max(1, 2**16 // out.shape[1])):
+        q0, q1 = lo + rows.start, lo + rows.stop
+        s = start + q0 * step
+        for c in range(0, span, step):
+            cols = min(step, span - c)
+            windows = np.lib.stride_tricks.sliding_window_view(x, cols)[s + c : s + c + (q1 - q0 - 1) * step + 1 : step]
+            if c == 0:
+                np.matmul(windows, table[:cols], out=out[q0:q1])
+            else:
+                out[q0:q1] += windows @ table[c : c + cols]
+    for a, b in ((0, lo), (hi, count)):
+        if a < b:
+            s, e = start + a * step, start + (b - 1) * step + span
+            seg = np.zeros(e - s)
+            i, j = max(s, 0), min(e, len(x))
+            if i < j:
+                seg[i - s : j - s] = x[i:j]
+            out[a:b] = np.lib.stride_tricks.sliding_window_view(seg, span)[::step] @ table
 
 
 def truncate(buf: AudioBuffer, max_duration: float) -> AudioBuffer:
@@ -142,17 +229,146 @@ def preemphasis(buf: AudioBuffer, alpha: float) -> AudioBuffer:
 
 
 def highpass(buf: AudioBuffer, cutoff: float) -> AudioBuffer:
-    """Zero-phase Butterworth high-pass (order HIGHPASS_ORDER) removing content below cutoff."""
+    """Zero-phase Butterworth high-pass (order HIGHPASS_ORDER) removing content below cutoff.
+
+    The output is that of scipy.signal.sosfiltfilt over butter(HIGHPASS_ORDER,
+    cutoff, "highpass", fs=rate, output="sos"), to round-off: the buffer is
+    extended at each end by the odd reflection of HIGHPASS_PAD samples, run
+    forward from the filter's steady state for its first sample, then backward
+    from the steady state for the last. An empty buffer is returned as it is;
+    a buffer of HIGHPASS_PAD samples or fewer is refused.
+    """
     nyquist = buf.sample_rate / 2
     if not 0 < cutoff < nyquist:
         raise ValueError(f"cutoff must be in (0, {nyquist})")
-    if len(buf.samples) == 0:
+    x, pad = buf.samples, HIGHPASS_PAD
+    n = len(x)
+    if n == 0:
         return buf
-    from scipy import signal
+    if n <= pad:
+        raise ValueError(f"buffer of {n} samples too short for the high-pass: it needs at least {pad + 1}")
+    forward, backward, steady = _cascade_kernels(_butter_highpass(cutoff, buf.sample_rate))
+    size = n + 2 * pad
+    rows = -(-size // FILTER_BLOCK)
+    lead = rows * FILTER_BLOCK - size
+    # the forward pass reads blocks that start with the data, the backward pass
+    # blocks that end with it; the spare samples are zeroed, as they reach the
+    # block products (times zero) even where they reach no kept output
+    ext = np.empty(rows * FILTER_BLOCK)
+    ext[:pad] = 2 * x[0] - x[pad:0:-1]
+    ext[pad : pad + n] = x
+    ext[pad + n : size] = 2 * x[-1] - x[-2 : -pad - 2 : -1]
+    ext[size:] = 0.0
+    once = np.empty(lead + rows * FILTER_BLOCK)  # the forward pass's output
+    once[:lead] = 0.0
+    _run_cascade(ext, steady * ext[0], forward, once[lead:])
+    # the backward pass writes over the extension, which is no longer needed
+    _run_cascade(once[: rows * FILTER_BLOCK], steady * once[lead + size - 1], backward, ext, reverse=True)
+    return replace(buf, samples=ext[lead + pad : lead + pad + n])
 
-    sos = signal.butter(HIGHPASS_ORDER, cutoff, btype="highpass", fs=buf.sample_rate, output="sos")
-    out = signal.sosfiltfilt(sos, buf.samples)
-    return replace(buf, samples=out)
+
+def _butter_highpass(cutoff: float, rate: float) -> np.ndarray:
+    """Second-order sections of scipy.signal.butter(HIGHPASS_ORDER, cutoff,
+    "highpass", fs=rate, output="sos"), built the same way: the analog
+    Butterworth poles, the high-pass transform, the bilinear map at fs = 2
+    with prewarping, then one section per conjugate pole pair, the pair
+    farthest from the unit circle first, with the gain in the first section.
+    HIGHPASS_ORDER is even, so every pole has a conjugate and all zeros are at 1."""
+    order = HIGHPASS_ORDER
+    warped = 2 * 2.0 * np.tan(np.pi * (cutoff / (rate / 2)) / 2.0)
+    analog = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order))
+    hp = warped / analog
+    gain = np.real(1.0 / np.prod(-analog)) * np.real(4.0**order / np.prod(4.0 - hp))
+    poles = (4.0 + hp) / (4.0 - hp)
+    upper = poles[poles.imag > 0]
+    upper = upper[np.argsort(-np.abs(1 - np.abs(upper)), kind="stable")]
+    sos = np.array([[1.0, -2.0, 1.0, *np.poly(np.array([p, p.conj()]))] for p in upper])
+    sos[0, :3] *= gain
+    return sos
+
+
+def _cascade_kernels(sos: np.ndarray):
+    """The cascade of second-order sections as one linear system, in blocks of
+    FILTER_BLOCK samples: (forward, backward, steady) for _run_cascade.
+
+    With one-sample state matrix M, input column b, output row c and direct
+    gain d, a block of inputs x (a row) from state s (a column) gives the
+    outputs x @ T + s.T @ G and the next state M^FILTER_BLOCK s + F x.T: T is
+    the upper-triangular Toeplitz matrix of the impulse response, column k of
+    G is (c M^k).T and column i of F is M^(FILTER_BLOCK - 1 - i) b. `backward`
+    holds the same for a block read from its end. `steady` is the state that
+    a constant unit input holds, sosfilt_zi's.
+    """
+    m, b, c, d = np.zeros((0, 0)), np.zeros(0), np.zeros(0), 1.0
+    steady, scale = [], 1.0
+    for b0, b1, b2, _, a1, a2 in sos:
+        # the section's transposed-direct-form-II states (z0, z1), fed with the
+        # output u = c s + d x of the sections before it:
+        # y = z0 + b0 u, z0' = -a1 z0 + z1 + (b1 - a1 b0) u, z1' = -a2 z0 + (b2 - a2 b0) u
+        own = np.array([[-a1, 1.0], [-a2, 0.0]])
+        feed = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        m = np.block([[m, np.zeros((len(b), 2))], [np.outer(feed, c), own]])
+        b = np.concatenate([b, feed * d])
+        c = np.concatenate([b0 * c, [1.0, 0.0]])
+        d *= b0
+        steady.extend(scale * np.linalg.solve(np.eye(2) - own, feed))
+        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+    # to the real basis [Re v, Im v] of each conjugate pair of eigenvectors. In
+    # the direct-form basis the entries of M^k grow large and cancel, which at
+    # low cutoffs (poles near z = 1) cost the block-state scan three digits
+    w, v = np.linalg.eig(m)
+    basis = np.stack([v.real, v.imag], axis=2)[:, w.imag > 0].reshape(len(b), -1)
+    m, b, c = np.linalg.solve(basis, m @ basis), np.linalg.solve(basis, b), c @ basis
+    steady = np.linalg.solve(basis, steady)
+
+    size = FILTER_BLOCK
+    powers = np.empty((size + 1, len(b), len(b)))  # M^0 ... M^size
+    powers[0], powers[1], done = np.eye(len(b)), m, 2
+    while done <= size:
+        more = min(done - 1, size + 1 - done)
+        powers[done : done + more] = powers[done - 1] @ powers[1 : more + 1]
+        done += more
+    gains = (c @ powers[:size]).T
+    response = np.concatenate([[d], b @ gains[:, :-1]])
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([np.zeros(size - 1), response]), size)
+    toeplitz = np.ascontiguousarray(windows[:, ::-1].T)  # [j, i] = response[i - j], 0 if i < j
+    taps = (powers[size - 1 :: -1] @ b).T
+    forward = (toeplitz, gains, taps, powers[size])
+    # the same read from the end of a block, copied, as BLAS takes no negative strides
+    backward = (
+        np.ascontiguousarray(toeplitz[::-1, ::-1]),
+        np.ascontiguousarray(gains[:, ::-1]),
+        np.ascontiguousarray(taps[:, ::-1]),
+        powers[size],
+    )
+    return forward, backward, steady
+
+
+def _run_cascade(x: np.ndarray, state: np.ndarray, kernel, out: np.ndarray, reverse: bool = False) -> None:
+    """Run the system of _cascade_kernels over x, a whole number of blocks, from
+    `state` into out; with reverse=True, from x's last sample to its first.
+
+    The block-start states come from a log-step doubling scan of
+    s[j + 1] = M^FILTER_BLOCK s[j] + F x[j].T; the outputs are then computed
+    512 blocks at a time, as two matrix products.
+    """
+    toeplitz, gains, taps, step = kernel
+    blocks = x.reshape(-1, FILTER_BLOCK)
+    starts = np.empty((len(step), len(blocks)))  # column j: block j's start state
+    ends = taps @ blocks.T
+    starts[:, 0] = state
+    starts[:, 1:] = ends[:, :0:-1] if reverse else ends[:, :-1]
+    span = 1
+    while span < starts.shape[1]:
+        starts[:, span:] += step @ starts[:, :-span]
+        step = step @ step
+        span *= 2
+    if reverse:
+        starts = np.ascontiguousarray(starts[:, ::-1])
+    out = out.reshape(blocks.shape)
+    for rows in _blocks(len(blocks), 512):
+        np.matmul(blocks[rows], toeplitz, out=out[rows])
+        out[rows] += starts[:, rows].T @ gains
 
 
 def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.ndarray:
@@ -198,35 +414,34 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
 
     The frames are those of scipy's ShortTimeFFT.stft: SUBTRACT_FRAME_LENGTH
     samples, Hann-windowed, centred on multiples of SUBTRACT_HOP, zero-padded
-    at both ends. They are processed BLOCK_FRAMES at a time, in order (rfft,
-    subtract, irfft, times the synthesis window, overlap-add), so besides
-    the input, one padded copy of it and the output, memory is bounded by
-    one block, not by the track. The phase is kept by scaling each bin by
-    cleaned / |X|; a bin with |X| == 0, as in digital silence, has no phase
-    to scale and gets cleaned times exp(1j * angle(X)), as
-    ShortTimeFFT.istft would. "quietest" mode makes one extra blocked pass
-    for the frame energies. Every sum runs in frame order, so the block
-    size reaches no output.
+    at both ends, and the synthesis window is ShortTimeFFT's dual window.
+    They are processed BLOCK_FRAMES at a time, in order (rfft, subtract,
+    irfft, times the synthesis window, overlap-add), so besides the input,
+    one padded copy of it and the output, memory is bounded by one block, not
+    by the track. The phase is kept by scaling each bin by cleaned / |X|; a
+    bin with |X| == 0, as in digital silence, has no phase to scale and gets
+    cleaned times exp(1j * angle(X)), as ShortTimeFFT.istft would.
+    "quietest" mode makes one extra blocked pass for the frame energies.
+    Every sum runs in frame order, so the block size reaches no output.
     """
     x = buf.samples
     problem = _too_short_to_denoise(buf, cfg)
     if problem:
         raise ValueError(problem)
-    from scipy import fft, signal
 
-    hop = SUBTRACT_HOP
-    win = signal.get_window("hann", SUBTRACT_FRAME_LENGTH)
-    # ShortTimeFFT supplies the frame range, the centring and the synthesis window
-    sft = signal.ShortTimeFFT(win, hop=hop, fs=buf.sample_rate)
-    m, mid = sft.m_num, sft.m_num_mid
-    n_frames = sft.p_max(len(x)) - sft.p_min
-    head = mid - sft.p_min * hop  # zeros before sample 0, so that row 0 is frame p_min
+    m, hop = SUBTRACT_FRAME_LENGTH, SUBTRACT_HOP
+    mid = m // 2
+    win = _hann(m)
+    dual = _dual_window(win, hop)
+    first, stop = _subtract_frame_range(len(x))
+    n_frames = stop - first
+    head = mid - first * hop  # zeros before sample 0, so that row 0 is frame `first`
     padded = np.pad(x, (head, (n_frames - 1) * hop + m - head - len(x)))
     frames = _frames(padded, m, hop)
 
     def spectra(rows):
         # rolled so that each frame's centre sample comes first, as in ShortTimeFFT
-        return fft.rfft(np.roll(frames[rows] * win, -mid, axis=1), axis=1)
+        return np.fft.rfft(np.roll(frames[rows] * win, -mid, axis=1), axis=1)
 
     if cfg.noise_profile_mode == "leading":
         n_profile = int(round(cfg.noise_profile_window * buf.sample_rate))
@@ -256,10 +471,39 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
         gain[bare] = 0.0
         spec *= gain
         spec[bare] = cleaned[bare] * phase
-        rebuilt = np.roll(fft.irfft(spec, n=m, axis=1), mid, axis=1) * sft.dual_win
+        rebuilt = np.roll(np.fft.irfft(spec, n=m, axis=1), mid, axis=1) * dual
         for row, frame in zip(range(b.start, b.stop), rebuilt):
             out[row * hop : row * hop + m] += frame
     return replace(buf, samples=out[head : head + len(x)])
+
+
+def _subtract_frame_range(n: int) -> tuple[int, int]:
+    """ShortTimeFFT's (p_min, p_max(n)) for spectral subtraction's framing of n samples.
+
+    Frame p is centred on sample p * SUBTRACT_HOP. The frames run from the
+    first whose window reaches sample 0 to the last that reaches sample n - 1;
+    the periodic Hann window is zero only at its first sample.
+    """
+    mid = SUBTRACT_FRAME_LENGTH // 2
+    return -((SUBTRACT_FRAME_LENGTH - mid - 1) // SUBTRACT_HOP), (n + mid - 2) // SUBTRACT_HOP + 1
+
+
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of n samples, as scipy.signal.get_window("hann", n)."""
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:n]
+
+
+def _dual_window(win: np.ndarray, hop: int) -> np.ndarray:
+    """Canonical dual of win at this hop, summed in the order of ShortTimeFFT's dual_win:
+    win over the sum of the squared window shifted by every multiple of hop."""
+    squared = win**2
+    overlap = squared.copy()
+    for k in range(hop, len(win), hop):
+        overlap[k:] += squared[:-k]
+        overlap[:-k] += squared[k:]
+    return win / overlap
 
 
 def normalize(buf: AudioBuffer) -> AudioBuffer:

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, _blocks, _frames
+from .audio_io import AudioBuffer, _blocks, _frames, _hann
 
 SECTION_LABELS = ("intro", "verse", "chorus", "bridge", "outro")
 
 DB_FLOOR = -100.0
 DB_EPS = 1e-10
+# analysis windows of stft, by name
+WINDOWS = {"hann": _hann, "rectangular": np.ones}
 
 
 @dataclass(frozen=True)
@@ -63,19 +65,22 @@ def stft(
     hop: int = 512,
     window: str = "hann",
 ) -> Spectrogram:
-    """Magnitude spectrogram of the buffer, frames x (frame_length//2 + 1) bins."""
+    """Magnitude spectrogram of the buffer, frames x (frame_length//2 + 1) bins.
+
+    window is "hann" (periodic, as scipy.signal.get_window) or "rectangular".
+    """
     if hop > frame_length:
         raise ValueError("hop must not exceed frame_length")
+    if window not in WINDOWS:
+        raise ValueError(f"window must be one of {', '.join(map(repr, WINDOWS))}, got {window!r}")
     mags = _magnitudes(buf.samples, frame_length, hop, window)
     return Spectrogram(mags, hop, buf.sample_rate)
 
 
 def _magnitudes(x: np.ndarray, frame_length: int, hop: int, window: str = "hann") -> np.ndarray:
     """|rfft| of the windowed frames of x taken every hop samples from 0; any hop >= 1."""
-    from scipy import signal
-
     frames = _frames(x, frame_length, hop)
-    return np.abs(np.fft.rfft(frames * signal.get_window(window, frame_length), axis=1))
+    return np.abs(np.fft.rfft(frames * WINDOWS[window](frame_length), axis=1))
 
 
 def frame_rms(buf: AudioBuffer, frame_length: int = 2048, hop: int = 512) -> RmsSeries:

@@ -53,6 +53,11 @@ class TestStft:
         time_energy = np.sum(x**2)
         assert spectral == pytest.approx(time_energy, rel=0.01)
 
+    @pytest.mark.parametrize("window", ["hamming", "Hann", "boxcar"])
+    def test_unknown_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be one of 'hann', 'rectangular'"):
+            stft(buffer(make_tone(440, 1.0)), 2048, 512, window=window)
+
     def test_db_floor(self):
         spec = stft(buffer(np.zeros(4096)), 2048, 512)
         assert np.all(spec.to_db() == -100.0)

@@ -1,8 +1,11 @@
-"""Import hygiene: a lyric-only run never loads SciPy, and no run loads requests.
+"""Import hygiene: a lyric-only run never loads SciPy, an audio run loads only
+scipy.io.wavfile, and no run loads requests.
 
-SciPy is imported inside the audio functions that call it, and the HTTP
-clients speak through urllib.request. Each check runs in a fresh
-interpreter, because this suite's conftest imports scipy.io.wavfile itself.
+load_track imports scipy.io.wavfile on first use, and is the only SciPy
+import: the resampler, the filters and the windows are numpy code, so
+scipy.signal and scipy.fft stay unloaded. The HTTP clients speak through
+urllib.request. Each check runs in a fresh interpreter, because this
+suite's conftest imports scipy.io.wavfile itself.
 """
 
 import json
@@ -17,14 +20,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LYRICS = Path(__file__).resolve().parent / "fixtures" / "lyrics.txt"
 
 # makes any import of requests fail, imports the package, report and cli,
-# runs the CLI on argv when given, and prints which of scipy, requests and
-# urllib3 were loaded, as a JSON list on the last line of stderr
+# runs the CLI on argv when given, and prints which of the watched modules
+# were loaded, as a JSON list on the last line of stderr
 PROBE = """\
 import json, sys
 sys.modules["requests"] = None
 import detoxaudit, detoxaudit.cli, detoxaudit.report
 code = detoxaudit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-watched = ("scipy", "requests", "urllib3")
+watched = ("scipy", "scipy.signal", "scipy.fft", "requests", "urllib3")
 print(json.dumps([m for m in watched if sys.modules.get(m) is not None]), file=sys.stderr)
 sys.exit(code)
 """
@@ -54,5 +57,6 @@ def test_lyric_run_loads_no_scipy(argv):
 
 
 def test_audio_run_still_works(voiced_wav):
-    # the probe does see an import made on first use
+    # the probe does see an import made on first use; scipy.signal and
+    # scipy.fft, which it also watches, stay unloaded
     assert probe("analyze-audio", voiced_wav) == ["scipy"]

@@ -16,7 +16,7 @@ from detoxaudit import (
 )
 from detoxaudit.cli import main
 from detoxaudit.report import PLOT_KINDS, StageError
-from conftest import make_harmonic, write_wav
+from conftest import make_harmonic, make_tone, write_wav
 
 
 def bundles(fixture_pair, with_sections=False):
@@ -256,6 +256,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "stage 2 (audio load)" in captured.err and "non-finite" in captured.err
+
+    def test_stem_too_short_for_the_highpass_exit_code_1(self, tmp_path, capsys):
+        # 20 samples at 44.1 kHz are 10 at the 22.05 kHz target rate
+        path = write_wav(tmp_path / "blip.wav", make_tone(440, 20 / 44100, sr=44100), sr=44100)
+        assert main(["analyze-audio", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "stage 3 (preprocessing)" in err
+        assert "10 samples too short for the high-pass: it needs at least 16" in err
 
     def test_empty_preprocessed_stem_exit_code_1(self, tmp_path, voiced_wav, capsys):
         cfg_path = tmp_path / "cfg.json"
