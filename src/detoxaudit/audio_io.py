@@ -28,9 +28,9 @@ HIGHPASS_ORDER = 4
 HIGHPASS_PAD = 3 * (HIGHPASS_ORDER + 1)
 # entries of one table of filter taps in resample (2 MiB)
 RESAMPLE_TABLE = 2**18
-# samples per block of the high-pass's block-matrix recursion; of 32 to 256,
-# 48 ran fastest on 15 and 30 s stems (2 vCPUs), and no size moved the result
-# by more than round-off
+# samples per block of the high-pass's block recursion; of 32 to 256, 48 ran
+# fastest or within 1% of the fastest on 15 and 30 s stems at 22.05 kHz
+# (2 vCPUs), and no size moved the result by more than round-off
 FILTER_BLOCK = 48
 # spectral subtraction's STFT framing, in samples
 SUBTRACT_FRAME_LENGTH = 2048
@@ -88,8 +88,10 @@ class PreprocessConfig:
 def load_track(path) -> AudioBuffer:
     """Load a PCM WAV file (8-bit unsigned, 16/32-bit int, float) as a mono buffer.
 
-    Multichannel input is averaged to mono; the file's sample rate is kept.
-    A float file holding any NaN or infinite sample is rejected.
+    Multichannel input is averaged to mono before it is scaled, so only the
+    mono float64 samples are held; the file's sample rate is kept. A file
+    whose mono samples are not all finite (a NaN or infinite float sample, or
+    float channels whose sum overflows) is rejected.
     """
     from scipy.io import wavfile
 
@@ -102,20 +104,19 @@ def load_track(path) -> AudioBuffer:
         raise AudioLoadError(f"unsupported or corrupt audio file {path}: {exc}") from exc
     if data.size == 0:
         raise AudioLoadError(f"zero-length audio: {path}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    else:
+    scale = {"int16": 32768.0, "int32": 2147483648.0, "uint8": 128.0, "float32": 1.0, "float64": 1.0}.get(data.dtype.name)
+    if scale is None:
         raise AudioLoadError(f"unsupported sample encoding {data.dtype} in {path}")
+    if data.dtype == np.uint8:
+        data = data.astype(np.int16) - 128
+    # integer sums are exact in float64 and the scales are powers of two, so
+    # folding first gives the same samples as scaling each channel first. A
+    # float sum that overflows, or inf plus -inf, is caught by the finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = data.mean(axis=1, dtype=np.float64) if data.ndim > 1 else data.astype(np.float64)
+    samples /= scale
     if not np.isfinite(samples).all():
         raise AudioLoadError(f"non-finite samples (NaN or Inf) in {path}")
-    if samples.ndim > 1:
-        samples = samples.mean(axis=1)
     return AudioBuffer(samples, int(rate))
 
 
@@ -235,8 +236,9 @@ def highpass(buf: AudioBuffer, cutoff: float) -> AudioBuffer:
     cutoff, "highpass", fs=rate, output="sos"), to round-off: the buffer is
     extended at each end by the odd reflection of HIGHPASS_PAD samples, run
     forward from the filter's steady state for its first sample, then backward
-    from the steady state for the last. An empty buffer is returned as it is;
-    a buffer of HIGHPASS_PAD samples or fewer is refused.
+    from the steady state for the last. The filter passes no DC, so each pass
+    is the filter from rest over its input minus that sample. An empty buffer
+    is returned as it is; a buffer of HIGHPASS_PAD samples or fewer is refused.
     """
     nyquist = buf.sample_rate / 2
     if not 0 < cutoff < nyquist:
@@ -247,33 +249,32 @@ def highpass(buf: AudioBuffer, cutoff: float) -> AudioBuffer:
         return buf
     if n <= pad:
         raise ValueError(f"buffer of {n} samples too short for the high-pass: it needs at least {pad + 1}")
-    forward, backward, steady = _cascade_kernels(_butter_highpass(cutoff, buf.sample_rate))
+    modes = _butter_modes(cutoff, buf.sample_rate)
     size = n + 2 * pad
-    rows = -(-size // FILTER_BLOCK)
-    lead = rows * FILTER_BLOCK - size
-    # the forward pass reads blocks that start with the data, the backward pass
-    # blocks that end with it; the spare samples are zeroed, as they reach the
-    # block products (times zero) even where they reach no kept output
-    ext = np.empty(rows * FILTER_BLOCK)
+    # whole blocks; the zeros after the data reach no kept output, as the filter is causal
+    ext = np.zeros(-(-size // FILTER_BLOCK) * FILTER_BLOCK)
     ext[:pad] = 2 * x[0] - x[pad:0:-1]
     ext[pad : pad + n] = x
     ext[pad + n : size] = 2 * x[-1] - x[-2 : -pad - 2 : -1]
-    ext[size:] = 0.0
-    once = np.empty(lead + rows * FILTER_BLOCK)  # the forward pass's output
-    once[:lead] = 0.0
-    _run_cascade(ext, steady * ext[0], forward, once[lead:])
-    # the backward pass writes over the extension, which is no longer needed
-    _run_cascade(once[: rows * FILTER_BLOCK], steady * once[lead + size - 1], backward, ext, reverse=True)
-    return replace(buf, samples=ext[lead + pad : lead + pad + n])
+    ext[:size] -= ext[0]
+    once = np.empty_like(ext)
+    _filter_from_rest(ext, modes, once)
+    # the backward pass runs forward over the reversed output, written over the extension
+    np.subtract(once[size - 1 :: -1], once[size - 1], out=ext[:size])
+    _filter_from_rest(ext, modes, once)
+    ext[:n] = once[size - 1 - pad : pad - 1 : -1]  # the data's part, in forward order
+    return replace(buf, samples=ext[:n])
 
 
-def _butter_highpass(cutoff: float, rate: float) -> np.ndarray:
-    """Second-order sections of scipy.signal.butter(HIGHPASS_ORDER, cutoff,
-    "highpass", fs=rate, output="sos"), built the same way: the analog
-    Butterworth poles, the high-pass transform, the bilinear map at fs = 2
-    with prewarping, then one section per conjugate pole pair, the pair
-    farthest from the unit circle first, with the gain in the first section.
-    HIGHPASS_ORDER is even, so every pole has a conjugate and all zeros are at 1."""
+def _butter_modes(cutoff: float, rate: float):
+    """scipy.signal.butter(HIGHPASS_ORDER, cutoff, "highpass", fs=rate) in
+    pole/residue form: (the poles above the real axis, their residues, the gain
+    g). The transfer function g (z - 1)^4 / prod(z - p) is g + sum(r / (z - p))
+    over all poles, and the residue of p is g (p - 1)^4 / prod(p - q) over the
+    other poles q. The poles and gain are built as butter builds them: the
+    analog Butterworth poles, the high-pass transform and the bilinear map at
+    fs = 2 with prewarping. HIGHPASS_ORDER is even, so every pole has a
+    conjugate and all zeros are at 1."""
     order = HIGHPASS_ORDER
     warped = 2 * 2.0 * np.tan(np.pi * (cutoff / (rate / 2)) / 2.0)
     analog = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order))
@@ -281,94 +282,45 @@ def _butter_highpass(cutoff: float, rate: float) -> np.ndarray:
     gain = np.real(1.0 / np.prod(-analog)) * np.real(4.0**order / np.prod(4.0 - hp))
     poles = (4.0 + hp) / (4.0 - hp)
     upper = poles[poles.imag > 0]
-    upper = upper[np.argsort(-np.abs(1 - np.abs(upper)), kind="stable")]
-    sos = np.array([[1.0, -2.0, 1.0, *np.poly(np.array([p, p.conj()]))] for p in upper])
-    sos[0, :3] *= gain
-    return sos
+    others = upper[:, None] - poles  # zero only where the pole meets itself
+    return upper, gain * (upper - 1) ** order / np.prod(others, axis=1, where=others != 0), gain
 
 
-def _cascade_kernels(sos: np.ndarray):
-    """The cascade of second-order sections as one linear system, in blocks of
-    FILTER_BLOCK samples: (forward, backward, steady) for _run_cascade.
+def _filter_from_rest(x: np.ndarray, modes, out: np.ndarray) -> None:
+    """Run the filter of _butter_modes over x, a whole number of FILTER_BLOCK
+    samples, from rest into out.
 
-    With one-sample state matrix M, input column b, output row c and direct
-    gain d, a block of inputs x (a row) from state s (a column) gives the
-    outputs x @ T + s.T @ G and the next state M^FILTER_BLOCK s + F x.T: T is
-    the upper-triangular Toeplitz matrix of the impulse response, column k of
-    G is (c M^k).T and column i of F is M^(FILTER_BLOCK - 1 - i) b. `backward`
-    holds the same for a block read from its end. `steady` is the state that
-    a constant unit input holds, sosfilt_zi's.
+    Each pole p holds one complex state s: the output is g x + 2 Re(sum(s))
+    and the next state p s + r x. A block of inputs x (a row) from states s
+    gives the outputs x @ T + 2 Re(s @ G) and the next states p^FILTER_BLOCK s
+    + x @ F, where T is the upper-triangular Toeplitz matrix of the impulse
+    response, G[k] = p^k and F[i] = r p^(FILTER_BLOCK - 1 - i). The block-start
+    states come from a log-step doubling scan over poles x blocks; the outputs
+    are then computed 512 blocks at a time, as two real matrix products.
     """
-    m, b, c, d = np.zeros((0, 0)), np.zeros(0), np.zeros(0), 1.0
-    steady, scale = [], 1.0
-    for b0, b1, b2, _, a1, a2 in sos:
-        # the section's transposed-direct-form-II states (z0, z1), fed with the
-        # output u = c s + d x of the sections before it:
-        # y = z0 + b0 u, z0' = -a1 z0 + z1 + (b1 - a1 b0) u, z1' = -a2 z0 + (b2 - a2 b0) u
-        own = np.array([[-a1, 1.0], [-a2, 0.0]])
-        feed = np.array([b1 - a1 * b0, b2 - a2 * b0])
-        m = np.block([[m, np.zeros((len(b), 2))], [np.outer(feed, c), own]])
-        b = np.concatenate([b, feed * d])
-        c = np.concatenate([b0 * c, [1.0, 0.0]])
-        d *= b0
-        steady.extend(scale * np.linalg.solve(np.eye(2) - own, feed))
-        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
-    # to the real basis [Re v, Im v] of each conjugate pair of eigenvectors. In
-    # the direct-form basis the entries of M^k grow large and cancel, which at
-    # low cutoffs (poles near z = 1) cost the block-state scan three digits
-    w, v = np.linalg.eig(m)
-    basis = np.stack([v.real, v.imag], axis=2)[:, w.imag > 0].reshape(len(b), -1)
-    m, b, c = np.linalg.solve(basis, m @ basis), np.linalg.solve(basis, b), c @ basis
-    steady = np.linalg.solve(basis, steady)
-
+    poles, residues, gain = modes
     size = FILTER_BLOCK
-    powers = np.empty((size + 1, len(b), len(b)))  # M^0 ... M^size
-    powers[0], powers[1], done = np.eye(len(b)), m, 2
-    while done <= size:
-        more = min(done - 1, size + 1 - done)
-        powers[done : done + more] = powers[done - 1] @ powers[1 : more + 1]
-        done += more
-    gains = (c @ powers[:size]).T
-    response = np.concatenate([[d], b @ gains[:, :-1]])
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([np.zeros(size - 1), response]), size)
-    toeplitz = np.ascontiguousarray(windows[:, ::-1].T)  # [j, i] = response[i - j], 0 if i < j
-    taps = (powers[size - 1 :: -1] @ b).T
-    forward = (toeplitz, gains, taps, powers[size])
-    # the same read from the end of a block, copied, as BLAS takes no negative strides
-    backward = (
-        np.ascontiguousarray(toeplitz[::-1, ::-1]),
-        np.ascontiguousarray(gains[:, ::-1]),
-        np.ascontiguousarray(taps[:, ::-1]),
-        powers[size],
-    )
-    return forward, backward, steady
-
-
-def _run_cascade(x: np.ndarray, state: np.ndarray, kernel, out: np.ndarray, reverse: bool = False) -> None:
-    """Run the system of _cascade_kernels over x, a whole number of blocks, from
-    `state` into out; with reverse=True, from x's last sample to its first.
-
-    The block-start states come from a log-step doubling scan of
-    s[j + 1] = M^FILTER_BLOCK s[j] + F x[j].T; the outputs are then computed
-    512 blocks at a time, as two matrix products.
-    """
-    toeplitz, gains, taps, step = kernel
-    blocks = x.reshape(-1, FILTER_BLOCK)
-    starts = np.empty((len(step), len(blocks)))  # column j: block j's start state
-    ends = taps @ blocks.T
-    starts[:, 0] = state
-    starts[:, 1:] = ends[:, :0:-1] if reverse else ends[:, :-1]
-    span = 1
+    powers = poles ** np.arange(size)[:, None]  # [k, pole] = p^k
+    response = np.concatenate([[gain], 2 * (powers[:-1] @ residues).real])
+    lag = np.arange(size) - np.arange(size)[:, None]
+    toeplitz = np.triu(response[np.abs(lag)])  # [j, i] = response[i - j], 0 if i < j
+    # the states as (re, im) pairs, so that the samples stay real in both
+    # products: 2 Re(s p^k) = re(s) re(2 p^k) + im(s) im(2 conj(p^k))
+    gains = (2 * powers.conj()).view(float).T
+    taps = np.ascontiguousarray(residues * powers[::-1]).view(float)
+    blocks = x.reshape(-1, size)
+    starts = np.zeros((len(poles), len(blocks)), dtype=complex)  # column j: block j's start states
+    starts[:, 1:] = (blocks[:-1] @ taps).view(complex).T
+    step, span = poles**size, 1
     while span < starts.shape[1]:
-        starts[:, span:] += step @ starts[:, :-span]
-        step = step @ step
+        starts[:, span:] += step[:, None] * starts[:, :-span]
+        step = step * step
         span *= 2
-    if reverse:
-        starts = np.ascontiguousarray(starts[:, ::-1])
+    states = np.ascontiguousarray(starts.T).view(float)
     out = out.reshape(blocks.shape)
     for rows in _blocks(len(blocks), 512):
         np.matmul(blocks[rows], toeplitz, out=out[rows])
-        out[rows] += starts[:, rows].T @ gains
+        out[rows] += states[rows] @ gains
 
 
 def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
 
 from detoxaudit import (
@@ -22,7 +23,7 @@ from detoxaudit import (
     voice_report,
 )
 from detoxaudit.audio_io import BLOCK_FRAMES, _blocks
-from conftest import SR, buffer, make_noise, make_tone, write_wav
+from conftest import SR, buffer, make_noise, make_tone, traced_peak, write_wav
 
 
 class TestLoadTrack:
@@ -82,6 +83,64 @@ class TestLoadTrack:
         path = write_wav(tmp_path / "bad.wav", samples)
         with pytest.raises(AudioLoadError, match="non-finite.*bad.wav"):
             load_track(path)
+
+
+def scale_then_fold(data):
+    """load_track's conversion before it folded first: every channel scaled to
+    float64, then averaged."""
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        samples = data.astype(np.float64) / 2147483648.0
+    elif data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    else:
+        samples = data.astype(np.float64)
+    return samples.mean(axis=1) if samples.ndim > 1 else samples
+
+
+@st.composite
+def wav_data(draw):
+    """Interleaved samples of any supported encoding, 1 to 8 channels, finite
+    and small enough that no float channel sum overflows."""
+    dtype = np.dtype(draw(st.sampled_from(["uint8", "int16", "int32", "float32", "float64"])))
+    if dtype == np.float32:
+        elements = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    elif dtype == np.float64:
+        elements = st.floats(-1e300, 1e300)
+    else:
+        elements = st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max)
+    channels = draw(st.integers(1, 8))
+    shape = draw(st.integers(1, 64)) if channels == 1 else (draw(st.integers(1, 64)), channels)
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=wav_data())
+def test_load_track_folds_as_scaling_each_channel_did(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    wavfile.write(str(path), SR, data)
+    assert np.array_equal(load_track(path).samples, scale_then_fold(data))
+
+
+# two finite channels whose sum overflows; opposite infinities, whose mean is NaN
+@pytest.mark.parametrize("frame", ([1e308, 1e308], [np.inf, -np.inf], [np.nan, 0.0]))
+def test_load_track_checks_the_folded_samples(tmp_path, frame):
+    path = tmp_path / "bad.wav"
+    wavfile.write(str(path), SR, np.array([[0.5, 0.5], frame]))
+    with pytest.raises(AudioLoadError, match="non-finite"):
+        load_track(path)
+
+
+def test_load_track_memory_bounded_by_its_output(tmp_path):
+    # 30 s of stereo int16 at 44.1 kHz: the file's samples (0.5x), the mono
+    # output and the finite check's flags (0.125x); scaling each channel
+    # before folding peaks at 3.5x
+    path = tmp_path / "stereo.wav"
+    noise = np.random.default_rng(2).integers(-32768, 32768, size=(30 * 44100, 2), dtype=np.int16)
+    wavfile.write(str(path), 44100, noise)
+    peak = traced_peak(lambda: load_track(path))
+    assert peak <= 1.7 * 30 * 44100 * 8
 
 
 class TestResample:

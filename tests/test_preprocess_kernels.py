@@ -3,14 +3,16 @@
 resample must equal resample_poly, and highpass must equal butter +
 sosfiltfilt, to within 1e-12 of the input's peak. The Hann window, the
 dual window and spectral subtraction's frame range must equal
-ShortTimeFFT's exactly, and the Butterworth sections must equal butter's
-at the rates and cutoffs below. Two memory tests bound the peak that
-tracemalloc sees on a 60 s 44.1 kHz stem.
+ShortTimeFFT's exactly, and the Butterworth poles and gain must equal
+butter's at the rates and cutoffs below. Two memory tests bound the peak
+that tracemalloc sees on a 60 s 44.1 kHz stem.
 
 The high-pass property draws cutoffs from 0.9% of Nyquist up; the default,
 100 Hz at 22.05 kHz, is 0.91%. Lower cutoffs put the poles nearer z = 1,
-and the two kernels drift further apart: a random search found at most
-5.3e-13 of the peak from 0.9% up, and 2.4e-12 between 0.4% and 0.6%.
+and the two kernels drift further apart: a random search (noise, tones,
+DC, tones over DC and random walks, 16 to 4,000 samples) found at most
+1.2e-13 of the peak over 5,000 cases from 0.9% up, and 1.6e-12 over 3,000
+between 0.4% and 0.6%.
 """
 
 from fractions import Fraction
@@ -28,8 +30,9 @@ from detoxaudit.audio_io import (
     HIGHPASS_PAD,
     SUBTRACT_FRAME_LENGTH,
     SUBTRACT_HOP,
-    _butter_highpass,
+    _butter_modes,
     _dual_window,
+    _filter_from_rest,
     _hann,
     _subtract_frame_range,
 )
@@ -80,10 +83,27 @@ def test_subtract_frame_range_is_short_time_fft_range():
         assert _subtract_frame_range(n) == (sft.p_min, sft.p_max(n)), n
 
 
-@pytest.mark.parametrize("rate, cutoff", [(22050, 100.0), (16000, 80.0), (44100, 300.0), (8000, 20.0), (96000, 4000.0)])
-def test_butterworth_sections_are_scipy_butter(rate, cutoff):
-    want = signal.butter(HIGHPASS_ORDER, cutoff, btype="highpass", fs=rate, output="sos")
-    assert np.array_equal(_butter_highpass(cutoff, rate), want)
+DESIGN_POINTS = [(22050, 100.0), (16000, 80.0), (44100, 300.0), (8000, 20.0), (96000, 4000.0)]
+
+
+@pytest.mark.parametrize("rate, cutoff", DESIGN_POINTS)
+def test_butterworth_poles_and_gain_are_scipy_butter(rate, cutoff):
+    zeros, poles, gain = signal.butter(HIGHPASS_ORDER, cutoff, btype="highpass", fs=rate, output="zpk")
+    upper, _, got_gain = _butter_modes(cutoff, rate)
+    assert np.array_equal(zeros, np.ones(HIGHPASS_ORDER))
+    assert np.array_equal(upper, poles[poles.imag > 0])
+    assert got_gain == gain
+
+
+@pytest.mark.parametrize("rate, cutoff", DESIGN_POINTS)
+def test_filter_from_rest_impulse_is_sosfilt(rate, cutoff):
+    # one pass, no odd extension: this holds the residues to the sections directly
+    impulse = np.zeros(40 * FILTER_BLOCK)
+    impulse[0] = 1.0
+    got = np.empty_like(impulse)
+    _filter_from_rest(impulse, _butter_modes(cutoff, rate), got)
+    want = signal.sosfilt(signal.butter(HIGHPASS_ORDER, cutoff, btype="highpass", fs=rate, output="sos"), impulse)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 @kernel_settings
@@ -133,8 +153,9 @@ def test_highpass_matches_sosfiltfilt(data):
 @pytest.mark.parametrize("signal_kind", ["tone", "noise", "mixed"])
 def test_highpass_default_cutoff_at_44k(signal_kind):
     # --target-rate 44100 keeps the 100 Hz cutoff: 0.45% of Nyquist, below the
-    # property's range. The state basis matters here: in the sections' own
-    # direct-form states the scan drifted to 1.4e-11 of the peak on the tone
+    # property's range. The form of the state matters here: in the sections' own
+    # direct-form states a block scan drifted to 1.4e-11 of the peak on the
+    # tone, where the per-pole states stay within 2.4e-13
     rate = 44100
     x = {
         "tone": make_tone(150, 10.0, sr=rate),
@@ -173,6 +194,7 @@ def test_resample_memory_bounded_by_its_output(stem_44k):
 
 
 def test_highpass_memory_bounded_by_a_few_stems(stem_44k):
-    # sosfiltfilt peaks at 3.0x: the extension, and the forward and backward outputs
+    # sosfiltfilt peaks at 3.0x. This holds the extension and one pass's output,
+    # and fails on a complex copy of the stem
     peak = traced_peak(lambda: highpass(stem_44k, 100.0))
-    assert peak <= 3.2 * stem_44k.samples.nbytes
+    assert peak <= 2.3 * stem_44k.samples.nbytes
