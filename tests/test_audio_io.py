@@ -101,8 +101,8 @@ def scale_then_fold(data):
 
 @st.composite
 def wav_data(draw):
-    """Interleaved samples of any supported encoding, 1 to 8 channels, finite
-    and small enough that no float channel sum overflows."""
+    """Interleaved samples of any supported encoding, 1 to 8 channels, 0 to 64
+    frames, finite and small enough that no float channel sum overflows."""
     dtype = np.dtype(draw(st.sampled_from(["uint8", "int16", "int32", "float32", "float64"])))
     if dtype == np.float32:
         elements = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -111,16 +111,23 @@ def wav_data(draw):
     else:
         elements = st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max)
     channels = draw(st.integers(1, 8))
-    shape = draw(st.integers(1, 64)) if channels == 1 else (draw(st.integers(1, 64)), channels)
+    shape = draw(st.integers(0, 64)) if channels == 1 else (draw(st.integers(0, 64)), channels)
     return draw(hnp.arrays(dtype, shape, elements=elements))
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=wav_data())
 def test_load_track_folds_as_scaling_each_channel_did(tmp_path_factory, data):
+    # oracle: scipy.io.wavfile reads the file, then every channel is scaled
     path = tmp_path_factory.mktemp("wav") / "x.wav"
     wavfile.write(str(path), SR, data)
-    assert np.array_equal(load_track(path).samples, scale_then_fold(data))
+    if len(data) == 0:
+        with pytest.raises(AudioLoadError, match="zero-length audio"):
+            load_track(path)
+    else:
+        buf = load_track(path)
+        assert np.array_equal(buf.samples, scale_then_fold(wavfile.read(path)[1]))
+        assert buf.sample_rate == SR
 
 
 # two finite channels whose sum overflows; opposite infinities, whose mean is NaN
