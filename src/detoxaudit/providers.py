@@ -19,7 +19,6 @@ import http.client
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 import urllib.error
@@ -227,13 +226,14 @@ class _HttpProvider(_Provider):
 def _write_atomic(path: Path, text: str):
     """Publish text at path through a temp file of this writer's own, so that
     concurrent writers of one key never tear or steal each other's file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    tmp = path.with_name(f"{path.stem}{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as to open()
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -291,7 +291,7 @@ def load_report(path) -> dict:
 
 def _write_csv(out_path: Path, header: list, lines: list):
     """Write the header, then the rendered lines, each of which starts with a newline."""
-    out_path.write_text(",".join(header) + "".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(out_path, ",".join(header) + "".join(lines) + "\n")
 
 
 def _csv_rows(rows: list, header: list, out_path: Path):

@@ -1,3 +1,5 @@
+import os
+import stat
 import threading
 import tracemalloc
 
@@ -22,6 +24,28 @@ def no_pool_thread_left():
     """Fail a test that leaves a prefetch pool thread running."""
     yield
     assert pool_threads() == []
+
+
+@pytest.fixture
+def umask_022():
+    """Run the test under umask 022, a common default; the caller's is restored."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def mode_of(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def plain_write_mode(directory):
+    """The permission bits that Path.write_text gives a new file in directory."""
+    probe = directory / "plain-write-probe"
+    probe.write_text("")
+    try:
+        return mode_of(probe)
+    finally:
+        probe.unlink()
 
 
 def traced_peak(fn):

@@ -1,11 +1,10 @@
-"""Import hygiene: a lyric-only run never loads SciPy, an audio run loads only
-scipy.io.wavfile, and no run loads requests.
+"""Import hygiene: no run of the package loads SciPy or requests.
 
-load_track imports scipy.io.wavfile on first use, and is the only SciPy
-import: the resampler, the filters and the windows are numpy code, so
-scipy.signal and scipy.fft stay unloaded. The HTTP clients speak through
-urllib.request. Each check runs in a fresh interpreter, because this
-suite's conftest imports scipy.io.wavfile itself.
+load_track reads WAV files with numpy, and the resampler, the filters and the
+windows are numpy code, so neither a lyric run nor an audio run loads any of
+scipy. The HTTP clients speak through urllib.request. Each check runs in a
+fresh interpreter, because this suite imports scipy itself, as the writer of
+its WAV fixtures and as the oracle of the numpy code.
 """
 
 import json
@@ -56,7 +55,11 @@ def test_lyric_run_loads_no_scipy(argv):
     assert probe(*argv) == []
 
 
-def test_audio_run_still_works(voiced_wav):
-    # the probe does see an import made on first use; scipy.signal and
-    # scipy.fft, which it also watches, stay unloaded
-    assert probe("analyze-audio", voiced_wav) == ["scipy"]
+def test_audio_run_loads_no_scipy(voiced_wav):
+    assert probe("analyze-audio", voiced_wav) == []
+
+
+def test_offline_compare_loads_no_scipy(voiced_wav):
+    sides = ("--original-stem", voiced_wav, "--original-lyrics", LYRICS)
+    sides += ("--transformed-stem", voiced_wav, "--transformed-lyrics", LYRICS)
+    assert probe("compare", *sides, "--artist", "probe", "--offline") == []

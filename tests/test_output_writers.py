@@ -27,7 +27,7 @@ from detoxaudit import (
 )
 from detoxaudit.cli import main
 from detoxaudit.report import report_json
-from conftest import make_harmonic, make_noise, write_wav
+from conftest import make_harmonic, make_noise, mode_of, plain_write_mode, write_wav
 from csv_oracles import ORACLES
 
 EDGE_FLOATS = [0.0, -0.0, 1e-05, 1e16, 5e-324, -100.0, 0.1, 1.7976931348623157e308]
@@ -122,6 +122,35 @@ def test_failed_write_keeps_old_report_and_leaves_no_temp_file(tmp_path, monkeyp
         write_report({"a": [2.0]}, target)
     assert target.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+# what the waveform writer reads of a report
+WAVEFORM_REPORT = {
+    side: {"audio": {"waveform": {"times": [0.0], "rms": [0.5]}}} for side in ("original", "transformed")
+}
+
+
+def test_report_and_csv_get_the_mode_of_a_plain_write(tmp_path, umask_022):
+    write_report({"a": [1.0]}, tmp_path / "report.json")
+    emit_plot_data(WAVEFORM_REPORT, "waveform", tmp_path / "waveform.csv")
+    assert plain_write_mode(tmp_path) == 0o644
+    assert [mode_of(tmp_path / name) for name in ("report.json", "waveform.csv")] == [0o644, 0o644]
+
+
+def test_failed_csv_write_keeps_old_csv_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "waveform.csv"
+    emit_plot_data(WAVEFORM_REPORT, "waveform", target)
+    old = target.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("cannot publish")
+
+    monkeypatch.setattr(os, "replace", refuse)  # fails after the temp file is written
+    other = {side: {"audio": {"waveform": {"times": [1.0], "rms": [0.25]}}} for side in WAVEFORM_REPORT}
+    with pytest.raises(OSError, match="cannot publish"):
+        emit_plot_data(other, "waveform", target)
+    assert target.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["waveform.csv"]
 
 
 def _side_payload(draw, values):
@@ -221,6 +250,8 @@ def test_compare_stdout_equals_out_file_and_csvs_match_oracles(fixture_pair, cap
     stdout = capsys.readouterr().out
     out = tmp / "out" / "report.json"
     assert main([*args, "--out", str(out), "--emit", "waveform,spectrogram"]) == 0
+    mode = plain_write_mode(out.parent)
+    assert [mode_of(p) for p in (out, out.parent / "fixture_waveform.csv")] == [mode, mode]
 
     def body(text):
         return [line for line in text.splitlines() if '"created_at"' not in line]

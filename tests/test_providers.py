@@ -26,7 +26,7 @@ from detoxaudit import (
     score_document,
 )
 from detoxaudit.providers import DEFAULT_REWRITE_TEMPLATE, FETCH_WORKERS, STUB_DIMENSION
-from conftest import pool_threads
+from conftest import mode_of, plain_write_mode, pool_threads
 
 
 class MockProvider:
@@ -287,6 +287,12 @@ class TestSentimentClient:
         SentimentClient(fast_cfg(server.url, cache_dir=str(cache))).classify("hello")
         name = hashlib.sha256(b"sentiment|default|hello").hexdigest() + ".json"
         assert [p.name for p in cache.iterdir()] == [name]
+
+    def test_cache_file_gets_the_mode_of_a_plain_write(self, mock_provider, tmp_path, umask_022):
+        server = mock_provider({"label": "POSITIVE", "score": 0.9})
+        cache = tmp_path / "cache"
+        SentimentClient(fast_cfg(server.url, cache_dir=str(cache))).classify("hello")
+        assert [mode_of(p) for p in cache.iterdir()] == [plain_write_mode(cache)] == [0o644]
 
     def test_out_of_contract_response_never_cached(self, mock_provider, tmp_path):
         server = mock_provider({"label": "MAYBE", "score": 0.5})

@@ -163,20 +163,31 @@ class TestChunkLayout:
             buf = load(tmp_path, raw)
         assert buf.samples.tolist() == [1 / 32768, 2 / 32768, 3 / 32768]
 
+    def test_float64_cut_inside_a_sample_keeps_the_whole_ones(self, tmp_path):
+        # five bytes of the third sample remain: no chunk header is read from them
+        data = np.array([0.5, -0.25, 1.0]).astype("<f8").tobytes()[:21]
+        raw = wav(fmt(tag=3, bits=64), chunk(b"data", data, size=24)[:-1], size=4 + 24 + 8 + 24)
+        with pytest.warns(UserWarning, match="(?i)EOF prematurely"):
+            assert load(tmp_path, raw).samples.tolist() == [0.5, -0.25]
+
+    def test_a_partial_chunk_header_after_the_data_is_ignored(self, tmp_path):
+        raw = wav(fmt(), chunk(b"data", b"\1\0"), b"LI")
+        assert load(tmp_path, raw).samples.tolist() == [1 / 32768]
+
 
 class TestRefusals:
     @pytest.mark.parametrize("tag", (6, 7, 2, 0x55))  # A-law, mu-law, MS ADPCM, MPEG layer 3
     def test_other_format_tags(self, tmp_path, tag):
-        refused(tmp_path, wav(fmt(tag, bits=8), chunk(b"data", b"\1\2\3\4")), "unknown wave file format")
+        refused(tmp_path, wav(fmt(tag, bits=8), chunk(b"data", b"\1\2\3\4")), "PCM.*IEEE.?float")
 
     def test_extensible_with_another_subformat(self, tmp_path):
-        refused(tmp_path, wav(fmt(0xFFFE, bits=8, subformat=7), chunk(b"data", b"\1\2")), "unknown wave file format")
+        refused(tmp_path, wav(fmt(0xFFFE, bits=8, subformat=7), chunk(b"data", b"\1\2")), "PCM.*IEEE.?float")
 
     def test_16_bit_float(self, tmp_path):
-        refused(tmp_path, wav(fmt(tag=3, bits=16), chunk(b"data", b"\0\0\0\0")), "unsupported bit depth")
+        refused(tmp_path, wav(fmt(tag=3, bits=16), chunk(b"data", b"\0\0\0\0")), "16-bit")
 
-    def test_40_bit_pcm_reads_as_int64(self, tmp_path):
-        refused(tmp_path, wav(fmt(bits=40), chunk(b"data", b"\0" * 10)), "unsupported sample encoding int64")
+    def test_40_bit_pcm(self, tmp_path):
+        refused(tmp_path, wav(fmt(bits=40), chunk(b"data", b"\0" * 10)), "unsupported sample encoding int(40|64)")
 
     def test_partial_last_frame(self, tmp_path):
         refused(tmp_path, wav(fmt(channels=2), chunk(b"data", b"\1\0\2\0\3\0")))
@@ -193,6 +204,17 @@ class TestRefusals:
     def test_byte_rate_not_rate_times_block_align(self, tmp_path):
         body = struct.pack("<HHIIHH", 1, 1, RATE, RATE * 2 + 1, 2, 16)
         refused(tmp_path, wav(chunk(b"fmt ", body), chunk(b"data", b"\1\0")), "nAvgBytesPerSec")
+
+    def test_fmt_chunk_shorter_than_16_bytes(self, tmp_path):
+        body = struct.pack("<HHIIH", 1, 1, RATE, RATE * 2, 2)
+        refused(tmp_path, wav(chunk(b"fmt ", body), chunk(b"data", b"\1\0")))
+
+    def test_rf64_without_ds64(self, tmp_path):
+        refused(tmp_path, b"RF64" + b"\xff" * 4 + b"WAVE" + fmt() + chunk(b"data", b"\1\0"))
+
+    def test_sample_rate_zero(self, tmp_path):
+        body = struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32)
+        refused(tmp_path, wav(chunk(b"fmt ", body), chunk(b"data", b"\0" * 4)))
 
     def test_not_a_wave_file(self, tmp_path):
         refused(tmp_path, b"OggS" + b"\0" * 40)
