@@ -92,10 +92,10 @@ def load_track(path) -> AudioBuffer:
     PCM (unsigned), 12- to 32-bit PCM in 2 to 4 bytes (3-byte samples widen to
     left-justified int32), and 32- or 64-bit float. Other chunks and bytes past
     the RIFF's end are skipped, the last data chunk wins, and one cut short by
-    the end of the file warns and keeps its whole frames. Channels are averaged
+    the end of the file warns and keeps its whole samples. Channels are averaged
     before scaling. AudioLoadError names the file and the fault: unreadable,
-    another format (mu-law, A-law, ...) or sample width, no fmt before data, no
-    data, no channels, a partial last frame, no samples, or a non-finite sample.
+    another format (mu-law, A-law, ...) or width, no fmt before data, no data,
+    channels or rate, a partial last frame, no samples, or a non-finite sample.
     """
     try:
         with open(path, "rb") as fh:
@@ -160,7 +160,7 @@ def _read_wav(fh, path):
             code = "u1" if tag == 1 and 1 <= bits <= 8 and width else _ENCODINGS.get((tag, width))
             if code is None or bits > 64 and width != 3 or tag == 3 and bits not in (32, 64):
                 kind = f"{('int', 'float')[tag == 3]}{8 * width} ({bits}-bit, channels: {channels})"
-                raise AudioLoadError(f"unsupported sample encoding {kind} in {path}")
+                raise fault(f"unsupported sample encoding {kind}")
             item = int(code[1])  # bytes per stored sample
             ask = size if code == "i3" else size // width * item  # the bytes wavfile.read asked for
             got = min(ask, os.fstat(fh.fileno()).st_size - start)  # the bytes read
