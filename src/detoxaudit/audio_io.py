@@ -33,8 +33,12 @@ FILTER_BLOCK = 48
 # spectral subtraction's STFT framing, in samples
 SUBTRACT_FRAME_LENGTH = 2048
 SUBTRACT_HOP = 512
-# (format tag, bytes per sample) -> dtype read; "i3", 3-byte PCM, widens to int32
-_ENCODINGS = {(1, 2): "i2", (1, 3): "i3", (1, 4): "i4", (3, 4): "f4", (3, 8): "f8"}
+# (format tag, bytes per sample) -> (dtype stored, fewest bits, full scale); a
+# sample holds at most 8 bits per byte. "i3", 3-byte PCM, widens to int32
+_ENCODINGS = {
+    (1, 1): ("u1", 1, 2.0**7), (1, 2): ("i2", 9, 2.0**15), (1, 3): ("i3", 9, 2.0**31),
+    (1, 4): ("i4", 9, 2.0**31), (3, 4): ("f4", 32, 1.0), (3, 8): ("f8", 64, 1.0),
+}
 
 
 class AudioLoadError(ValueError):
@@ -88,23 +92,24 @@ class PreprocessConfig:
 def load_track(path) -> AudioBuffer:
     """Load a WAV file as a mono buffer of float64 samples at the file's rate.
 
-    Reads RIFF, RIFX (big-endian) and RF64 files, plain or extensible: 8-bit
-    PCM (unsigned), 12- to 32-bit PCM in 2 to 4 bytes (3-byte samples widen to
-    left-justified int32), and 32- or 64-bit float. Other chunks and bytes past
-    the RIFF's end are skipped, the last data chunk wins, and one cut short by
-    the end of the file warns and keeps its whole samples. Channels are averaged
-    before scaling. AudioLoadError names the file and the fault: unreadable,
-    another format (mu-law, A-law, ...) or width, no fmt before data, no data,
-    channels or rate, a partial last frame, no samples, or a non-finite sample.
+    Reads RIFF, RIFX (big-endian) and RF64 files, plain or extensible: PCM of
+    up to 8 bits (unsigned) in 1-byte samples, of 9 bits up to its width in 2
+    to 4 bytes (3-byte samples widen to left-justified int32), and 32- or
+    64-bit float. The chunks are walked to the first data chunk; nothing after
+    it is read, nor bytes after its last whole sample. One cut short by the end
+    of the file warns and keeps its whole frames. Channels are averaged before
+    scaling. AudioLoadError names the file and the fault: unreadable, another
+    format (mu-law, A-law, ...), bits that do not fit their width, no fmt
+    before data, no data, no channels or rate, a partial last frame, no
+    samples, or a non-finite sample.
     """
     try:
         with open(path, "rb") as fh:
-            rate, data = _read_wav(fh, path)
+            rate, data, scale = _read_wav(fh, path)
     except OSError as exc:
         raise AudioLoadError(f"cannot read audio file {path}: {exc.strerror}") from exc
     if data.size == 0:
         raise AudioLoadError(f"zero-length audio: {path}")
-    scale = {"int16": 32768.0, "int32": 2147483648.0, "uint8": 128.0, "float32": 1.0, "float64": 1.0}[data.dtype.name]
     if data.dtype == np.uint8:
         data = data.astype(np.int16) - 128
     # integer sums are exact in float64 and the scales are powers of two, so
@@ -119,7 +124,8 @@ def load_track(path) -> AudioBuffer:
 
 
 def _read_wav(fh, path):
-    """(rate, samples) of the WAV file in fh: the stored dtype, a column per channel."""
+    """(rate, samples, full scale) of the WAV file in fh: the samples of its first
+    data chunk in their stored dtype, a column per channel."""
 
     def fault(why):
         return AudioLoadError(f"unsupported or corrupt audio file {path}: {why}")
@@ -127,22 +133,21 @@ def _read_wav(fh, path):
     head = fh.read(12)
     if head[:4] not in (b"RIFF", b"RIFX", b"RF64") or head[8:] != b"WAVE":
         raise fault("not a RIFF, RIFX or RF64 WAVE file")
-    e = ">" if head[:4] == b"RIFX" else "<"
-    riff, ds64_data = struct.unpack(e + "I", head[4:8])[0], None
-    if head[:4] == b"RF64":  # the file's and the data chunk's sizes are in a ds64 chunk
-        cid, skip, riff, ds64_data = struct.unpack("<4sIQQ", fh.read(24).ljust(24, b"\0"))
+    e, size64 = ">" if head[:4] == b"RIFX" else "<", None
+    if head[:4] == b"RF64":  # the data chunk's size is in the ds64 chunk that comes first
+        cid, skip, size64 = struct.unpack("<4sI8xQ", fh.read(24).ljust(24, b"\0"))
         if cid != b"ds64":
             raise fault("RF64 file without a ds64 chunk")
         fh.seek(skip - 16, 1)
-    tag = data = None
-    while fh.tell() < riff + 8:  # the chunks inside the RIFF's declared size
+    tag = None
+    while True:
         head = fh.read(8)
-        if len(head) < 8:  # end of file; a partial chunk header after the data is ignored
-            if len(head) > 4 or head in (b"fmt ", b"data"):
-                raise fault(f"truncated chunk header {head!r}")
+        if len(head) < 8:
+            raise fault("no data chunk")
+        (size,), start = struct.unpack(e + "I", head[4:]), fh.tell()
+        if head[:4] == b"data":
             break
-        cid, (size,), start = head[:4], struct.unpack(e + "I", head[4:]), fh.tell()
-        if cid == b"fmt ":
+        if head[:4] == b"fmt ":
             body = fh.read(min(size, 40))
             fields = struct.unpack(e + "HHIIHHH6xI12s", body.ljust(40, b"\0"))
             tag, channels, rate, byte_rate, align, bits, cb, sub, rest = fields
@@ -150,34 +155,29 @@ def _read_wav(fh, path):
                 tag = sub  # WAVE_FORMAT_EXTENSIBLE: the subformat's tag opens its GUID
             if len(body) < 16 or tag not in (1, 3):
                 raise fault(f"format {tag:#06x} in {len(body)} bytes of fmt: only PCM and IEEE float are read")
-            if tag == 1 and byte_rate != rate * align or rate == 0:
-                raise fault(f"nSamplesPerSec {rate}, nAvgBytesPerSec {byte_rate}, nBlockAlign {align}")
-        elif cid == b"data":
-            if tag is None:
-                raise fault("no fmt chunk before data")
-            size = size if ds64_data is None else ds64_data
-            width = align // channels if channels else 0  # bytes per sample
-            code = "u1" if tag == 1 and 1 <= bits <= 8 and width else _ENCODINGS.get((tag, width))
-            if code is None or bits > 64 and width != 3 or tag == 3 and bits not in (32, 64):
-                kind = f"{('int', 'float')[tag == 3]}{8 * width} ({bits}-bit, channels: {channels})"
-                raise fault(f"unsupported sample encoding {kind}")
-            item = int(code[1])  # bytes per stored sample
-            ask = size if code == "i3" else size // width * item  # the bytes wavfile.read asked for
-            got = min(ask, os.fstat(fh.fileno()).st_size - start)  # the bytes read
-            if got < ask:
-                warnings.warn(f"reached EOF prematurely in {path}: {got} of {ask} data bytes", stacklevel=3)
-            if code == "i3" and got % 3 or got // item % channels:
-                raise fault(f"partial last frame: {got} bytes of {channels} channels of {width}-byte samples")
-            if code == "i3":  # each sample's bytes fill the top three of an int32's, in file order
-                data, low = np.zeros(got // 3, e + "i4"), int(e == "<")
-                data.view(np.uint8).reshape(-1, 4)[:, low : low + 3] = np.fromfile(fh, "3u1", got // 3)
-            else:
-                data = np.fromfile(fh, e + code, got // item)
-            data = data.reshape(-1, channels) if channels > 1 else data
-        fh.seek(start + (got if cid == b"data" else size) + size % 2)  # and past the pad byte
-    if data is None:
-        raise fault("no data chunk")
-    return rate, data
+            if rate == 0 or channels == 0 or tag == 1 and byte_rate != rate * align:
+                raise fault(f"nChannels {channels}, nSamplesPerSec {rate}, nAvgBytesPerSec {byte_rate}, nBlockAlign {align}")
+        fh.seek(start + size + size % 2)  # and past the pad byte
+    if tag is None:
+        raise fault("no fmt chunk before data")
+    size = size if size64 is None else size64
+    width = align // channels  # bytes per sample
+    encoding = _ENCODINGS.get((tag, width))
+    if encoding is None or not encoding[1] <= bits <= 8 * width:
+        raise fault(f"unsupported sample encoding {('int', 'float')[tag == 3]}{8 * width} ({bits}-bit, channels: {channels})")
+    code, _, scale = encoding
+    got = min(size, os.fstat(fh.fileno()).st_size - fh.tell())  # the bytes present
+    if got < size:
+        warnings.warn(f"reached EOF prematurely in {path}: {got} of {size} data bytes", stacklevel=3)
+    elif size // width % channels:  # whole samples that do not fill the last frame
+        raise fault(f"partial last frame: {size} bytes of {channels} channels of {width}-byte samples")
+    count = got // (width * channels) * channels  # the samples of the whole frames present
+    if code == "i3":  # each sample's bytes fill the top three of an int32's, in file order
+        data, low = np.zeros(count, e + "i4"), int(e == "<")
+        data.view(np.uint8).reshape(-1, 4)[:, low : low + 3] = np.fromfile(fh, "3u1", count)
+    else:
+        data = np.fromfile(fh, e + code, count)
+    return rate, data.reshape(-1, channels) if channels > 1 else data, scale
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:

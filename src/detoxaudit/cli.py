@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import providers, report
 from .audio_io import PreprocessConfig
+from .dsp import read_text
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -111,8 +112,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    text = Path(args.lyrics).read_text(encoding="utf-8")
-    req = providers.RewriteRequest(text)
+    req = providers.RewriteRequest(read_text(args.lyrics))
     if args.offline:
         client = providers.StubRewriter()
     else:

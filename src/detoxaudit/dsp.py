@@ -129,25 +129,44 @@ def slice_sections(buf: AudioBuffer, section_map: SectionMap) -> list:
     return out
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; one that cannot be read or decoded raises
+    a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_timestamp(text: str) -> float:
+    """Seconds, or `mm:ss` with whole minutes >= 0 and seconds in [0, 60)."""
     parts = text.strip().split(":")
-    if len(parts) == 2:
-        return int(parts[0]) * 60 + float(parts[1])
     if len(parts) == 1:
         return float(parts[0])
+    if len(parts) == 2:
+        minutes, seconds = int(parts[0]), float(parts[1])
+        if minutes >= 0 and 0 <= seconds < 60:
+            return minutes * 60 + seconds
     raise ValueError(f"bad timestamp: {text!r}")
 
 
 def load_section_map(path) -> SectionMap:
-    """Parse a sidecar file with lines `label<TAB>mm:ss<TAB>mm:ss`."""
+    """Parse a sidecar file with lines `label<TAB>mm:ss<TAB>mm:ss`; a ValueError names the file."""
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"bad section line: {line!r}")
-        label = fields[0].strip().lower()
-        entries.append((label, _parse_timestamp(fields[1]), _parse_timestamp(fields[2])))
-    return SectionMap(tuple(entries))
+        try:
+            label, start, end = line.split("\t")
+            entries.append((label.strip().lower(), _parse_timestamp(start), _parse_timestamp(end)))
+        except ValueError as exc:
+            raise ValueError(f"bad section line in {path}: {line!r} ({exc})") from exc
+    if not entries:
+        raise ValueError(f"no section lines in {path}")
+    try:
+        return SectionMap(tuple(entries))
+    except ValueError as exc:
+        raise ValueError(f"bad sections in {path}: {exc}") from exc

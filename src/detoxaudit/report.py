@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import lyrics as lyr
 from .audio_io import AudioBuffer, PreprocessConfig, load_track, preprocess
-from .dsp import _db, _magnitudes, frame_rms, load_section_map, rms_stats, slice_sections
+from .dsp import _db, _magnitudes, frame_rms, load_section_map, read_text, rms_stats, slice_sections
 from .providers import _write_atomic
 from .voice import VoiceMetrics, radar_normalize, voice_report
 
@@ -33,6 +34,15 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
+
+
+@contextmanager
+def _stage(stage: str):
+    """Raise a ValueError from the block as a StageError of `stage`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise StageError(stage, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -66,20 +76,16 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     result holds "voice", "rms" (both with the statistics of one RMS envelope),
     that envelope decimated as "waveform" and, given a sidecar, per-section RMS "sections".
     """
-    try:
+    with _stage("stage 1 (audio collection)"):
+        section_map = load_section_map(sections) if sections else None
+    with _stage("stage 2 (audio load)"):
         raw = load_track(stem)
-    except ValueError as exc:
-        raise StageError("stage 2 (audio load)", str(exc)) from exc
-    try:
+    with _stage("stage 3 (preprocessing)"):
         buf = preprocess(raw, cfg)
-    except ValueError as exc:
-        raise StageError("stage 3 (preprocessing)", str(exc)) from exc
     if not len(buf.samples):
         raise StageError("stage 3 (preprocessing)", f"no samples left in {stem}")
-    try:
+    with _stage("stage 5 (voice metrics)"):
         metrics = voice_report(buf)
-    except ValueError as exc:
-        raise StageError("stage 5 (voice metrics)", str(exc)) from exc
     series = frame_rms(buf)
     rms = rms_stats(series)
     result = {
@@ -93,7 +99,7 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     if sections:
         result["sections"] = [
             {"label": label, "rms": rms_stats(frame_rms(piece)) if len(piece.samples) else None}
-            for label, piece in slice_sections(buf, load_section_map(sections))
+            for label, piece in slice_sections(buf, section_map)
         ]
     return buf, result
 
@@ -135,15 +141,11 @@ def analyze_lyrics(path, classifier) -> tuple:
 
     result holds the line count, the sentiment table, the per-line scores and the top n-grams.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StageError("stage 1 (lyric collection)", str(exc)) from exc
+    with _stage("stage 1 (lyric collection)"):
+        text = read_text(path)
     doc = lyr.parse_lyrics(text)
-    try:
+    with _stage("stage 3 (sentiment analysis)"):
         scores = lyr.score_document(doc, classifier)
-    except ValueError as exc:
-        raise StageError("stage 3 (sentiment analysis)", str(exc)) from exc
     table = lyr.sentiment_table(scores, doc)
     grams = {
         f"{n}-gram": [
@@ -216,10 +218,8 @@ def run_pipeline(
     for side, b in bundles.items():
         docs[side], lyric[side] = analyze_lyrics(b.lyrics, classifier)
 
-    try:
+    with _stage("stage 4 (semantic analysis)"):
         sims = lyr.line_similarity(docs["original"], docs["transformed"], embedder)
-    except ValueError as exc:
-        raise StageError("stage 4 (semantic analysis)", str(exc)) from exc
 
     sides = {
         side: {"artist_id": b.artist_id, "audio": audio[side], "lyrics": lyric[side]}

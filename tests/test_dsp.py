@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,3 +186,15 @@ class TestSections:
         path.write_text("chorus 0:00 0:10\n")
         with pytest.raises(ValueError):
             load_section_map(path)
+
+    @pytest.mark.parametrize("stamp", ["1:-30", "0:75", "0:60", "-1:00", "0.5:00", "1:2:03", "0:nan", "a:00"])
+    def test_sidecar_malformed_mm_ss_rejected(self, tmp_path, stamp):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"chorus\t0:00\t{stamp}\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad section line in {path}: 'chorus\\t0:00\\t{stamp}'")):
+            load_section_map(path)
+
+    def test_sidecar_mm_ss_bounds(self, tmp_path):
+        path = tmp_path / "sections.tsv"
+        path.write_text("verse\t0:00\t0:59.5\nchorus\t0:59.5\t75\n")
+        assert load_section_map(path).entries == (("verse", 0.0, 59.5), ("chorus", 59.5, 75.0))

@@ -413,6 +413,51 @@ class TestCli:
         ])
         assert code == 1
 
+    def compare_argv(self, fixture_pair, **paths):
+        argv = ["compare", "--offline"]
+        for key in ("orig_stem", "orig_lyrics", "trans_stem", "trans_lyrics", "sections"):
+            flag = key.replace("orig_", "original-").replace("trans_", "transformed-")
+            argv += [f"--{flag}", str(paths.get(key, fixture_pair[key]))]
+        return argv
+
+    def latin1_lyrics(self, fixture_pair):
+        path = fixture_pair["tmp_path"] / "latin1.txt"
+        path.write_bytes("caf\u00e9 at night\n".encode("latin-1"))
+        return path
+
+    def assert_input_error(self, capsys, stage, path):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{stage}] ") and str(path) in err, err
+
+    def test_lyrics_not_utf8_is_a_stage_1_error_naming_the_file(self, fixture_pair, capsys):
+        bad = self.latin1_lyrics(fixture_pair)
+        assert main(["analyze-lyrics", str(bad), "--offline"]) == 1
+        self.assert_input_error(capsys, "stage 1 (lyric collection)", bad)
+        assert main(self.compare_argv(fixture_pair, trans_lyrics=bad)) == 1
+        self.assert_input_error(capsys, "stage 1 (lyric collection)", bad)
+
+    def test_rewrite_names_a_lyrics_file_that_is_not_utf8(self, fixture_pair, capsys):
+        bad = self.latin1_lyrics(fixture_pair)
+        assert main(["rewrite", str(bad), "--offline"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err, err
+
+    @pytest.mark.parametrize(
+        "text", ["chorus 0:00 0:10\n", "chorus\t0:00\t1:-30\n", "intro\t0:02\t0:01\n", "# no sections\n"]
+    )
+    def test_bad_sidecar_is_a_stage_1_error_naming_the_file(self, fixture_pair, voiced_wav, capsys, text):
+        bad = fixture_pair["tmp_path"] / "bad.tsv"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["analyze-audio", str(voiced_wav), "--sections", str(bad)]) == 1
+        self.assert_input_error(capsys, "stage 1 (audio collection)", bad)
+        assert main(self.compare_argv(fixture_pair, sections=bad)) == 1
+        self.assert_input_error(capsys, "stage 1 (audio collection)", bad)
+
+    def test_missing_sidecar_is_a_stage_1_error(self, voiced_wav, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert main(["analyze-audio", str(voiced_wav), "--sections", str(missing)]) == 1
+        self.assert_input_error(capsys, "stage 1 (audio collection)", missing)
+
     def test_provider_error_exit_code_2(self, fixture_pair, monkeypatch, capsys):
         monkeypatch.setenv("DETOX_SENTIMENT_URL", "http://127.0.0.1:9/")
         monkeypatch.setenv("DETOX_EMBED_URL", "http://127.0.0.1:9/")

@@ -148,9 +148,26 @@ class TestChunkLayout:
         raw = wav(fmt(), chunk(b"data", INT16.astype("<i2").tobytes())) + b"junk!"
         assert load(tmp_path, raw).samples.tolist() == (INT16 / 32768).tolist()
 
-    def test_of_two_data_chunks_the_last_in_the_riff_wins(self, tmp_path):
+    def test_of_two_data_chunks_the_first_is_read(self, tmp_path):
         raw = wav(fmt(), chunk(b"data", b"\1\0\2\0"), chunk(b"data", b"\7\0"))
-        assert load(tmp_path, raw).samples.tolist() == [7 / 32768]
+        assert load(tmp_path, raw).samples.tolist() == [1 / 32768, 2 / 32768]
+
+    def test_riff_size_zero_loads(self, tmp_path):
+        # as a streaming writer leaves it: the chunk walk does not read the RIFF's size
+        raw = wav(fmt(), chunk(b"data", INT16.astype("<i2").tobytes()), size=0)
+        assert load(tmp_path, raw).samples.tolist() == (INT16 / 32768).tolist()
+
+    def test_bytes_after_the_data_chunk_are_not_read(self, tmp_path):
+        # a float64 chunk of 20 bytes: two samples, then the 4 bytes "data". Followed by
+        # a size and a third sample, those 4 bytes would read as a second data chunk
+        body = np.array([0.5, -0.25]).astype("<f8").tobytes() + b"data"
+        stray = struct.pack("<I", 8) + np.array([0.75]).astype("<f8").tobytes()
+        raw = wav(fmt(tag=3, bits=64), chunk(b"data", body), stray)
+        assert load(tmp_path, raw).samples.tolist() == [0.5, -0.25]
+
+    def test_3_byte_samples_ignore_bytes_after_the_last_whole_one(self, tmp_path):
+        raw = wav(fmt(bits=24), chunk(b"data", pcm24([1, -1]) + b"\7"))
+        assert load(tmp_path, raw).samples.tolist() == [256 / 2**31, -256 / 2**31]
 
     def test_a_data_chunk_after_the_riff_is_ignored(self, tmp_path):
         raw = wav(fmt(), chunk(b"data", b"\1\0\2\0")) + chunk(b"data", b"\7\0")
@@ -174,6 +191,17 @@ class TestChunkLayout:
         raw = wav(fmt(), chunk(b"data", b"\1\0"), b"LI")
         assert load(tmp_path, raw).samples.tolist() == [1 / 32768]
 
+    @pytest.mark.parametrize("length", (5, 6, 7))
+    def test_a_chunk_id_and_part_of_its_size_after_the_data_are_ignored(self, tmp_path, length):
+        raw = wav(fmt(), chunk(b"data", b"\1\0"), b"LIST\4\0\0"[:length])
+        assert load(tmp_path, raw).samples.tolist() == [1 / 32768]
+
+    def test_stereo_cut_mid_frame_keeps_whole_frames(self, tmp_path):
+        # the header declares three frames; one and the left sample of a second are present
+        raw = wav(fmt(channels=2), chunk(b"data", b"\1\0\3\0\5\0", size=12), size=4 + 24 + 8 + 12)
+        with pytest.warns(UserWarning, match="(?i)EOF prematurely"):
+            assert load(tmp_path, raw).samples.tolist() == [2 / 32768]
+
 
 class TestRefusals:
     @pytest.mark.parametrize("tag", (6, 7, 2, 0x55))  # A-law, mu-law, MS ADPCM, MPEG layer 3
@@ -188,6 +216,14 @@ class TestRefusals:
 
     def test_40_bit_pcm(self, tmp_path):
         refused(tmp_path, wav(fmt(bits=40), chunk(b"data", b"\0" * 10)), "unsupported sample encoding int(40|64)")
+
+    @pytest.mark.parametrize(
+        "tag, bits, align, kind",
+        ((1, 8, 2, "int16 (8-bit"), (1, 8, 8, "int64 (8-bit"), (1, 24, 2, "int16 (24-bit"), (3, 32, 8, "float64 (32-bit")),
+    )
+    def test_bits_that_do_not_fit_their_sample_width(self, tmp_path, tag, bits, align, kind):
+        raw = wav(fmt(tag, bits=bits, align=align), chunk(b"data", b"\1" * 2 * align))
+        refused(tmp_path, raw, "unsupported sample encoding " + re.escape(kind))
 
     def test_partial_last_frame(self, tmp_path):
         refused(tmp_path, wav(fmt(channels=2), chunk(b"data", b"\1\0\2\0\3\0")))
