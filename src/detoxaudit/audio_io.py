@@ -162,10 +162,9 @@ def _read_wav(fh, path):
         raise fault("no fmt chunk before data")
     size = size if size64 is None else size64
     width = align // channels  # bytes per sample
-    encoding = _ENCODINGS.get((tag, width))
-    if encoding is None or not encoding[1] <= bits <= 8 * width:
+    code, fewest, scale = _ENCODINGS.get((tag, width), (None, 0, 0))
+    if code is None or not fewest <= bits <= 8 * width:
         raise fault(f"unsupported sample encoding {('int', 'float')[tag == 3]}{8 * width} ({bits}-bit, channels: {channels})")
-    code, _, scale = encoding
     got = min(size, os.fstat(fh.fileno()).st_size - fh.tell())  # the bytes present
     if got < size:
         warnings.warn(f"reached EOF prematurely in {path}: {got} of {size} data bytes", stacklevel=3)
