@@ -91,6 +91,9 @@ def cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in report.PLOT_KINDS:
             raise ValueError(f"unknown plot kind: {kind!r}")
+    # the artist names the plot CSVs, which must land in the report's directory
+    if args.artist in (".", "..") or any(sep and sep in args.artist for sep in (os.sep, os.altsep)):
+        raise ValueError(f"--artist must be a plain file name, got {args.artist!r}")
     cfg = _preprocess_cfg(args)
     classifier, embedder = _providers(args)
     original = report.TrackBundle(

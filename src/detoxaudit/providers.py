@@ -216,21 +216,22 @@ class _HttpProvider(_Provider):
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
             value = self._parse(payload)
             if path is not None:
-                _write_atomic(path, json.dumps(payload, sort_keys=True))
+                _write_atomic(path, [json.dumps(payload, sort_keys=True)])
             return value
         raise ProviderError(
             f"{self.name}: giving up after {self.cfg.max_retries + 1} attempts: {last_error}"
         )
 
 
-def _write_atomic(path: Path, text: str):
-    """Publish text at path through a temp file of this writer's own, so that
-    concurrent writers of one key never tear or steal each other's file."""
+def _write_atomic(path: Path, chunks):
+    """Publish the strings of chunks, written in order, at path through a temp
+    file of this writer's own, so that concurrent writers of one key never tear
+    or steal each other's file. If chunks raises, nothing is published."""
     tmp = path.with_name(f"{path.stem}{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as to open()
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import lyrics as lyr
 from .audio_io import AudioBuffer, PreprocessConfig, load_track, preprocess
-from .dsp import _db, _magnitudes, frame_rms, load_section_map, read_text, rms_stats, slice_sections
+from .dsp import DB_FLOOR, _db, _magnitudes, frame_rms, load_section_map, read_text, rms_stats, slice_sections
 from .providers import _write_atomic
 from .voice import VoiceMetrics, radar_normalize, voice_report
 
@@ -27,6 +29,10 @@ SPECTROGRAM_FMAX = 8192.0
 SPECTROGRAM_FRAME = 2048
 SPECTROGRAM_HOP = 512
 NGRAM_TOP_K = 10
+# every plotted dB value is a whole number of hundredths, from DB_FLOOR up to
+# 20 * log10(1024), the peak of a full-scale frame under the 2048-point Hann window
+CELL_CENTS = (round(DB_FLOOR * 100), 6021)
+SPECTROGRAM_CSV_ROWS = 64  # spectrogram frames rendered into one string of the CSV
 
 
 class StageError(RuntimeError):
@@ -104,12 +110,41 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     return buf, result
 
 
+@functools.cache
+def _cell_table() -> tuple:
+    """Every whole hundredth in CELL_CENTS, as floats and as their repr strings."""
+    values = np.arange(CELL_CENTS[0], CELL_CENTS[1] + 1) / 100
+    return values, np.array([repr(v) for v in values.tolist()], dtype=object)
+
+
+class _Rows(list):
+    """dB rows as plain lists of floats; `cells` holds the repr of each value."""
+
+
+def _rendered(db: np.ndarray) -> list:
+    """db.tolist(), carrying each value's repr from _cell_table when all are finite."""
+    if not np.isfinite(db).all():
+        return db.tolist()  # report_json refuses it, as json does
+    values, text = _cell_table()
+    lo, hi = CELL_CENTS
+    idx = np.rint(np.clip(db, lo / 100, hi / 100) * 100).astype(np.intp) - lo
+    cells = text[idx]
+    # a bit-for-bit test, so -0.0 and values off the table take repr
+    miss = values[idx].view(np.int64) != db.view(np.int64)
+    cells[miss] = [repr(v) for v in db[miss].tolist()]
+    rows = _Rows(db.tolist())
+    rows.cells = cells
+    return rows
+
+
 def _plot_data(buf: AudioBuffer) -> dict:
     """Decimated spectrogram payload of one buffer; one shorter than a frame has no frames.
 
     Only the plotted frames are transformed: every stride-th frame of
     stft(buf, SPECTROGRAM_FRAME, SPECTROGRAM_HOP), with at most MAX_PLOT_FRAMES
-    of them, and only the plotted bins are taken to dB.
+    of them, and only the plotted bins are taken to dB. The dB rows carry
+    their rendered text (_rendered), which report_json and the spectrogram
+    CSV join instead of rendering each value again.
     """
     n = len(buf.samples)
     n_frames = (n - SPECTROGRAM_FRAME) // SPECTROGRAM_HOP + 1 if n >= SPECTROGRAM_FRAME else 0
@@ -125,7 +160,7 @@ def _plot_data(buf: AudioBuffer) -> dict:
         "spectrogram": {
             "times": times.tolist(),
             "frequencies": freqs[f_idx].tolist(),
-            "db": np.round(_db(mags), 2).tolist(),
+            "db": _rendered(np.round(_db(mags), 2)),
         },
     }
 
@@ -257,7 +292,8 @@ def report_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)``, byte for byte.
 
     Lists of finite plain floats, the bulk of a report, are joined in one
-    call; every other leaf goes through ``json``. Keys must be ``str``.
+    call, and spectrogram rows from _plot_data join their rendered cells;
+    every other leaf goes through ``json``. Keys must be ``str``.
     """
     return _json(obj, "\n")
 
@@ -269,6 +305,10 @@ def _json(obj, pad: str) -> str:
             raise TypeError(f"report keys must be str: {list(obj)!r}")
         items = (json.dumps(k) + ": " + _json(obj[k], inner) for k in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, _Rows) and obj.cells.size:
+        row_pad = inner + " "
+        rows = ("[" + row_pad + ("," + row_pad).join(r) + inner + "]" for r in obj.cells.tolist())
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(obj, (list, tuple)) and obj:
         if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
             items = map(float.__repr__, obj)
@@ -282,20 +322,48 @@ def write_report(report: dict, path):
     """Atomic JSON write: temp file in the target directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, report_json(report) + "\n")
+    _write_atomic(path, (report_json(report), "\n"))
 
 
 def load_report(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _write_csv(out_path: Path, header: list, lines: list):
+def _write_csv(out_path: Path, header: list, lines):
     """Write the header, then the rendered lines, each of which starts with a newline."""
-    _write_atomic(out_path, ",".join(header) + "".join(lines) + "\n")
+    _write_atomic(out_path, itertools.chain([",".join(header)], lines, ["\n"]))
 
 
 def _csv_rows(rows: list, header: list, out_path: Path):
     _write_csv(out_path, header, ["\n" + ",".join(map(str, row)) for row in rows])
+
+
+def _spectrogram_lines(report: dict):
+    """The spectrogram CSV's lines, SPECTROGRAM_CSV_ROWS frames to a string.
+
+    Each frequency is rendered once per side and each time once per frame.
+    Rows from _plot_data lay out each line's three parts (side and time,
+    frequency, rendered cell) in a grid that is joined in one call; other
+    rows render each value with str.
+    """
+    for side in ("original", "transformed"):
+        sg = report[side]["audio"]["spectrogram"]
+        freqs = [f"{f}," for f in sg["frequencies"]]
+        prefixes = [f"\n{side},{t}," for t in sg["times"]]
+        cells = getattr(sg["db"], "cells", None)
+        for i in range(0, len(prefixes), SPECTROGRAM_CSV_ROWS):
+            block = slice(i, i + SPECTROGRAM_CSV_ROWS)
+            if cells is None:
+                yield "".join([
+                    p + f + str(v) for p, row in zip(prefixes[block], sg["db"][block])
+                    for f, v in zip(freqs, row)
+                ])
+                continue
+            grid = np.empty(cells[block].shape + (3,), dtype=object)
+            grid[..., 0] = np.array(prefixes[block], dtype=object)[:, None]
+            grid[..., 1] = freqs
+            grid[..., 2] = cells[block]
+            yield "".join(grid.ravel().tolist())
 
 
 def emit_plot_data(report: dict, kind: str, out_path):
@@ -312,16 +380,7 @@ def emit_plot_data(report: dict, kind: str, out_path):
             lines += [f"\n{side},{t},{v}" for t, v in zip(wf["times"], wf["rms"])]
         _write_csv(out_path, ["track", "time_sec", "rms"], lines)
     elif kind == "spectrogram":
-        # each frequency is rendered once per side, each time once per frame,
-        # and each frame's bins are joined into one string
-        lines = []
-        for side in ("original", "transformed"):
-            sg = report[side]["audio"]["spectrogram"]
-            freqs = [f"{f}," for f in sg["frequencies"]]
-            for t, row in zip(sg["times"], sg["db"]):
-                prefix = f"\n{side},{t},"
-                lines.append("".join([prefix + f + str(v) for f, v in zip(freqs, row)]))
-        _write_csv(out_path, ["track", "time_sec", "freq_hz", "db"], lines)
+        _write_csv(out_path, ["track", "time_sec", "freq_hz", "db"], _spectrogram_lines(report))
     elif kind == "ngram":
         rows = []
         for side in ("original", "transformed"):

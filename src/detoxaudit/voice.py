@@ -92,9 +92,10 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     """Frame-wise f0 via normalized autocorrelation with parabolic refinement.
 
     The autocorrelation of each frame is computed by FFT (Wiener-Khinchin:
-    the inverse transform of the power spectrum, zero-padded to at least
-    2 * frame - 1 samples so it is linear, not circular) and normalized by
-    the energies of the overlapping head and tail (Boersma 1993). A frame
+    the inverse transform of the power spectrum) and normalized by the
+    energies of the overlapping head and tail (Boersma 1993). The frame is
+    zero-padded to at least frame + lag_max samples, so the circular
+    autocorrelation equals the linear one at every lag that is read. A frame
     is voiced when its best normalized correlation clears the voicing
     threshold and its RMS clears the silence gate. To avoid octave-down
     errors, the shortest lag whose correlation is within 10% of the best
@@ -119,7 +120,8 @@ def estimate_f0(buf: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     frames = _frames(x, frame_len, hop)
     gate = cfg.silence_gate * (rms.values.max() if rms.values.max() > 0 else 1.0)
 
-    n_fft = 1 << (2 * frame_len - 2).bit_length()
+    # the smallest 2^k, 3 * 2^k or 5 * 2^k of at least frame_len + lag_max samples
+    n_fft = min(m << (-(-(frame_len + lag_max) // m) - 1).bit_length() for m in (1, 3, 5))
     lags = np.arange(lag_min, min(lag_max + 1, frame_len))
     n_lags = len(lags)
     gated = np.flatnonzero(~(rms.values <= gate))  # a NaN frame is not gated

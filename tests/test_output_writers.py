@@ -2,7 +2,8 @@
 
 report_json must equal json.dumps(sort_keys=True, indent=1, allow_nan=False)
 byte for byte, and the waveform and spectrogram writers must equal the
-cell-by-cell oracles in csv_oracles.py.
+cell-by-cell oracles in csv_oracles.py. Both hold for plain lists and for
+the spectrogram rows that _plot_data renders from its table of cells.
 """
 
 import json
@@ -25,8 +26,9 @@ from detoxaudit import (
     run_pipeline,
     write_report,
 )
+from detoxaudit.audio_io import AudioBuffer
 from detoxaudit.cli import main
-from detoxaudit.report import report_json
+from detoxaudit.report import SPECTROGRAM_CSV_ROWS, _plot_data, _rendered, report_json
 from conftest import make_harmonic, make_noise, mode_of, plain_write_mode, write_wav
 from csv_oracles import ORACLES
 
@@ -36,6 +38,20 @@ keys = st.text(max_size=6) | st.sampled_from(
     ["", "\x00", "\n\t\"\\", "é", "日本", "\U0001f600", "\ud800", "\x7f"]
 )
 scalars = st.none() | st.booleans() | st.integers() | finite_floats | keys
+# what _plot_data's dB rows hold: hundredths on and off its table, -0.0, the floor
+db_values = (
+    finite_floats
+    | st.sampled_from([-0.0, -100.0, 60.21, 60.22, -100.01, 1e-05])
+    | st.floats(-100.0, 60.21).map(lambda v: round(v, 2))
+)
+
+
+@st.composite
+def rendered_rows(draw, n_bins=st.integers(0, 4)):
+    """Rows as _plot_data builds them (through _rendered), from 0 to 3 frames."""
+    n_t, n_f = draw(st.integers(0, 3)), draw(n_bins)
+    cells = draw(st.lists(db_values, min_size=n_t * n_f, max_size=n_t * n_f))
+    return _rendered(np.array(cells, dtype=float).reshape(n_t, n_f))
 
 
 def _containers(children):
@@ -45,6 +61,7 @@ def _containers(children):
         | st.dictionaries(keys, children, max_size=4)
         | st.lists(finite_floats, min_size=1, max_size=6)
         | st.lists(finite_floats | st.integers(), min_size=1, max_size=6)
+        | rendered_rows()
     )
 
 
@@ -106,6 +123,19 @@ class TestReportJson:
         tree = {"a": [np.float64(0.1), 2.5], "b": np.float64(-0.0)}
         assert report_json(tree) == _dumps(tree)
 
+    def test_rendered_rows_carry_their_cells_and_compare_as_lists(self):
+        db = np.array([[-0.0, -100.0], [60.22, 0.5]])
+        rows = _rendered(db)
+        assert rows == db.tolist() and [type(v) for v in rows[0]] == [float, float]
+        assert rows.cells.tolist() == [["-0.0", "-100.0"], ["60.22", "0.5"]]
+        assert report_json({"db": rows}) == _dumps({"db": db.tolist()})
+
+    def test_non_finite_rows_are_not_rendered_and_raise(self):
+        rows = _rendered(np.array([[1.0, math.inf]]))
+        assert not hasattr(rows, "cells")
+        with pytest.raises(ValueError):
+            report_json({"db": rows})
+
 
 def test_failed_write_keeps_old_report_and_leaves_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "report.json"
@@ -153,13 +183,38 @@ def test_failed_csv_write_keeps_old_csv_and_leaves_no_temp_file(tmp_path, monkey
     assert [p.name for p in tmp_path.iterdir()] == ["waveform.csv"]
 
 
+def _spectrogram_report(db, n_bins):
+    """What the spectrogram writer reads of a report, the same for both sides."""
+    sg = {"times": [0.5 * i for i in range(len(db))], "frequencies": [10.0] * n_bins, "db": db}
+    return {side: {"audio": {"spectrogram": sg}} for side in ("original", "transformed")}
+
+
+class _UnreadableRow(list):
+    def __iter__(self):
+        raise OSError("row unreadable")
+
+
+def test_failed_streamed_spectrogram_write_keeps_old_csv_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "spectrogram.csv"
+    emit_plot_data(_spectrogram_report([[1.0, 2.0]], 2), "spectrogram", target)
+    old = target.read_bytes()
+    # the first blocks of rows are written before the last one raises
+    db = [[-1.0, -2.0]] * (2 * SPECTROGRAM_CSV_ROWS) + [_UnreadableRow([0.0, 0.0])]
+    with pytest.raises(OSError, match="row unreadable"):
+        emit_plot_data(_spectrogram_report(db, 2), "spectrogram", target)
+    assert target.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["spectrogram.csv"]
+
+
 def _side_payload(draw, values):
-    n_t = draw(st.integers(0, 3))
     n_f = draw(st.integers(1, 4))
+    db = draw(rendered_rows(st.just(n_f)))
+    if draw(st.booleans()):
+        db = [list(row) for row in db]  # plain rows, as load_report or a hand-built report has them
+    n_t = len(db)
     n_w = draw(st.integers(0, 4))
     times = draw(st.lists(values, min_size=n_t, max_size=n_t))
     freqs = draw(st.lists(values, min_size=n_f, max_size=n_f))
-    db = [draw(st.lists(values, min_size=n_f, max_size=n_f)) for _ in range(n_t)]
     return {
         "audio": {
             "waveform": {
@@ -187,6 +242,41 @@ def test_csv_writers_match_cell_by_cell_oracles(report):
             oracle(report, tmp / f"{kind}_oracle.csv")
             emit_plot_data(report, kind, tmp / f"{kind}.csv")
             assert (tmp / f"{kind}.csv").read_bytes() == (tmp / f"{kind}_oracle.csv").read_bytes()
+
+
+def _edge_stem() -> AudioBuffer:
+    """A stem whose plotted dB rows span more than one block of CSV rows and
+    hold -0.0, the -100 floor and values above the table.
+
+    Bin 0 of a frame of DC at 0.9997/1024 (the periodic Hann window sums to
+    1024) is -0.0026 dB, which rounds to -0.0; its other plotted bins are at
+    the floor. DC at 1.5 is 63.7 dB, past a full-scale frame's 60.21.
+    """
+    noise = 0.1 * make_noise(seconds=2.0, seed=3)
+    return AudioBuffer(np.concatenate([np.full(2048, 0.9997 / 1024), noise, np.full(2048, 1.5)]), 22050)
+
+
+def test_plot_data_rows_write_as_their_plain_lists_and_read_back_the_same(tmp_path):
+    sg = _plot_data(_edge_stem())["spectrogram"]
+    db = np.array(sg["db"])
+    assert len(db) > SPECTROGRAM_CSV_ROWS and hasattr(sg["db"], "cells")
+    assert np.signbit(db[db == 0]).any() and (db == -100.0).any() and db.max() > 60.21
+    empty = _plot_data(AudioBuffer(np.full(100, 0.5), 22050))["spectrogram"]  # under one frame
+    assert empty["db"] == [] and empty["frequencies"]
+    report = {"original": {"audio": {"spectrogram": sg}}, "transformed": {"audio": {"spectrogram": empty}}}
+
+    write_report(report, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == _dumps(report) + "\n"
+    emit_plot_data(report, "spectrogram", tmp_path / "spectrogram.csv")
+    ORACLES["spectrogram"](report, tmp_path / "oracle.csv")
+    assert (tmp_path / "spectrogram.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    loaded = load_report(tmp_path / "report.json")
+    assert not hasattr(loaded["original"]["audio"]["spectrogram"]["db"], "cells")
+    write_report(loaded, tmp_path / "again.json")
+    emit_plot_data(loaded, "spectrogram", tmp_path / "again.csv")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "spectrogram.csv").read_bytes()
 
 
 VOCAB = ["hate", "fight", "love", "light", "burn", "down", "tonight", "you", "me", "sing"]

@@ -14,6 +14,7 @@ from detoxaudit import (
     run_pipeline,
     write_report,
 )
+from detoxaudit import report as report_module
 from detoxaudit.cli import main
 from detoxaudit.report import PLOT_KINDS, StageError
 from conftest import make_harmonic, make_tone, write_wav
@@ -401,6 +402,31 @@ class TestCli:
         assert f"unknown plot kind: {bad!r}" in capsys.readouterr().err
         assert not (tmp / "report.json").exists()
         assert list(tmp.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("artist", ["../escaped", "sub/name", ".", ".."])
+    def test_artist_that_is_not_a_file_name_fails_before_analysis(
+        self, fixture_pair, monkeypatch, capsys, artist
+    ):
+        def refuse(path):
+            raise AssertionError("audio loaded before the --artist check")
+
+        monkeypatch.setattr(report_module, "load_track", refuse)
+        tmp = fixture_pair["tmp_path"]
+        code = main([
+            "compare",
+            "--original-stem", str(fixture_pair["orig_stem"]),
+            "--original-lyrics", str(fixture_pair["orig_lyrics"]),
+            "--transformed-stem", str(fixture_pair["trans_stem"]),
+            "--transformed-lyrics", str(fixture_pair["trans_lyrics"]),
+            "--artist", artist,
+            "--out", str(tmp / "out" / "report.json"),
+            "--offline",
+            "--emit", "radar",
+        ])
+        assert code == 1
+        assert f"--artist must be a plain file name, got {artist!r}" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+        assert list(tmp.rglob("*.csv")) == []
 
     def test_missing_input_exit_code_1(self, fixture_pair, capsys):
         code = main([

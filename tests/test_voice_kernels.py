@@ -49,22 +49,22 @@ kernel_settings = settings(max_examples=12, deadline=None, database=None)
 
 
 @st.composite
-def voices(draw, n_samples):
-    """Harmonic-plus-noise voice of n_samples with silence at both ends."""
+def voices(draw, n_samples, sr=SR, silence=True):
+    """Harmonic-plus-noise voice of n_samples at rate sr, with silence at both ends if asked."""
     f0 = draw(st.floats(80.0, 350.0))
     n_harm = draw(st.integers(1, 8))
     noise = draw(st.floats(0.0, 1.0))
     amp = draw(st.floats(1e-3, 1.0))
-    lead = draw(st.integers(0, n_samples // 3))
-    trail = draw(st.integers(0, n_samples // 3))
+    lead = draw(st.integers(0, n_samples // 3)) if silence else 0
+    trail = draw(st.integers(0, n_samples // 3)) if silence else 0
     rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
-    t = np.arange(n_samples) / SR
+    t = np.arange(n_samples) / sr
     x = sum(np.sin(2 * np.pi * f0 * h * t + rng.uniform(0, 2 * np.pi)) / h
             for h in range(1, n_harm + 1))
     x = x + noise * rng.standard_normal(n_samples)
     x[:lead] = 0.0
     x[n_samples - trail:] = 0.0
-    return buffer(amp * x)
+    return buffer(amp * x, sr)
 
 
 def assert_close(actual, expected):
@@ -87,6 +87,38 @@ def test_estimate_f0_matches_loop(n_frames, data):
     assert len(got.frame_times) == n_frames
     np.testing.assert_array_equal(got.voiced_flags, want.voiced_flags)
     np.testing.assert_array_equal(np.isnan(got.f0), np.isnan(want.f0))
+    assert_close(got.f0[got.voiced_flags], want.f0[want.voiced_flags])
+
+
+def _longest_lag(sr):
+    """A PitchConfig whose lag_max is one less than the frame, the most estimate_f0 takes."""
+    frame = int(round(PitchConfig.frame_seconds * sr))
+    cfg = PitchConfig(fmin=sr / (frame - 1.5))
+    assert int(np.ceil(sr / cfg.fmin)) == frame - 1
+    return cfg
+
+
+@pytest.mark.parametrize("longest_lag", (False, True), ids=("default", "longest_lag"))
+@pytest.mark.parametrize("sr", (16000, 22050, 44100))
+@kernel_settings
+@given(data=st.data())
+def test_estimate_f0_matches_loop_at_each_rate(sr, longest_lag, data):
+    """The FFT is only frame + lag_max long, so the lags read stay exact at
+    every rate and up to the longest lag a frame allows.
+
+    At lags near the frame's length the normalized correlation is a few
+    products over their own norm. Where the frame starts or ends in silence
+    those products are near zero, and round-off decides them, in the loop as
+    in the kernel; so the longest-lag voices have no silence at their ends.
+    """
+    cfg = _longest_lag(sr) if longest_lag else PitchConfig()
+    frame, hop = int(round(cfg.frame_seconds * sr)), int(round(cfg.hop_seconds * sr))
+    n_frames = data.draw(st.sampled_from(FRAME_COUNTS))
+    n_samples = frame + hop * (n_frames - 1) + data.draw(st.integers(0, hop - 1))
+    buf = data.draw(voices(n_samples, sr, silence=not longest_lag))
+    got, want = estimate_f0(buf, cfg), voice_loops.estimate_f0(buf, cfg)
+    assert len(got.frame_times) == n_frames
+    np.testing.assert_array_equal(got.voiced_flags, want.voiced_flags)
     assert_close(got.f0[got.voiced_flags], want.f0[want.voiced_flags])
 
 
