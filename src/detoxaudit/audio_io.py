@@ -24,8 +24,22 @@ HIGHPASS_ORDER = 4
 # sosfiltfilt's default padlen for HIGHPASS_ORDER // 2 sections: a buffer of
 # this many samples or fewer is refused
 HIGHPASS_PAD = 3 * (HIGHPASS_ORDER + 1)
-# entries of one table of filter taps in resample (2 MiB)
-RESAMPLE_TABLE = 2**18
+# entries of one table of filter taps in resample (64 KiB). Each output of a
+# row reads only the filter's reach of the row's inputs, so a wide row's table
+# is mostly zeros; tables of at most this many entries cover a few outputs
+# each and little beyond their reach, and more rows fit in a product of
+# PRODUCT_MACS. Of 2^11 to 2^18, 2^12 to 2^13 ran fastest from 8, 16, 44.1,
+# 48 and 96 kHz to 22.05 kHz, and from 44.1 to 44.101 kHz (2 vCPUs)
+RESAMPLE_TABLE = 2**13
+# multiply-adds of one BLAS matrix product, at most, so that OpenBLAS runs
+# every product on its calling thread. It hands a matrix product of more than
+# 4 * 65536 multiply-adds (GEMM_MULTITHREAD_THRESHOLD * SMP_THRESHOLD_MIN) to
+# worker threads that then spin on the other cores, and stall the product
+# while those cores are busy. Measured with OpenBLAS 0.3.31 on 2 vCPUs: no
+# matrix product of up to 655,360 multiply-adds ran on a second thread, every
+# one of 1,048,576 did; matrix-vector products ran on one thread up to 262,144
+# (CPP's, at most BLOCK_FRAMES x 2048, stay below the cap at any rate)
+PRODUCT_MACS = 2**17
 # samples per block of the high-pass's block recursion; of 32 to 256, 48 ran
 # fastest or within 1% of the fastest on 15 and 30 s stems at 22.05 kHz
 # (2 vCPUs), and no size moved the result by more than round-off
@@ -116,7 +130,17 @@ def load_track(path) -> AudioBuffer:
     # folding first gives the same samples as scaling each channel first. A
     # float sum that overflows, or inf plus -inf, is caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = data.mean(axis=1, dtype=np.float64) if data.ndim > 1 else data.astype(np.float64)
+        if data.ndim == 1:
+            samples = data.astype(np.float64)
+        elif data.shape[1] < 8:
+            # numpy's mean sums fewer than 8 channels left to right (8 and more
+            # pairwise); a column at a time is that sum at array speed
+            samples = data[:, 0].astype(np.float64)
+            for column in data.T[1:]:
+                samples += column
+            samples /= data.shape[1]
+        else:
+            samples = data.mean(axis=1, dtype=np.float64)
     samples /= scale
     if not np.isfinite(samples).all():
         raise AudioLoadError(f"non-finite samples (NaN or Inf) in {path}")
@@ -192,7 +216,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     The output is computed in rows of `periods * up` samples, each from the
     `periods * down` inputs of its span and the filter's reach around them:
     every row is the same matrix product of its inputs with a table of the
-    taps, so all rows are a few BLAS products over strided views of the stem.
+    taps, so all rows are BLAS products over strided views of the stem.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -241,23 +265,23 @@ def _window_products(x: np.ndarray, table: np.ndarray, start: int, step: int, ou
 
     Windows inside x are read as strided views of it, in column chunks no
     wider than `step`, so that their rows lie apart in memory and BLAS takes
-    them; a few thousand rows at a time bound the temporaries. Only the
-    windows that cross an end of x are read from a zero-padded copy of the
-    samples they touch.
+    them, and in as many rows at a time as keep a product within
+    PRODUCT_MACS. Only the windows that cross an end of x are read from a
+    zero-padded copy of the samples they touch.
     """
-    span, count = len(table), len(out)
+    span, count, width = len(table), len(out), out.shape[1]
     lo = min(count, max(0, -(start // step)))  # first window that starts at or after 0
     hi = max(lo, min(count, (len(x) - span - start) // step + 1))  # after the last inside x
-    for rows in _blocks(hi - lo, max(1, 2**16 // out.shape[1])):
-        q0, q1 = lo + rows.start, lo + rows.stop
-        s = start + q0 * step
+    if lo < hi:
+        chunks = []  # (columns c to c + step of the windows inside x, the table's rows c to c + step)
         for c in range(0, span, step):
-            cols = min(step, span - c)
-            windows = np.lib.stride_tricks.sliding_window_view(x, cols)[s + c : s + c + (q1 - q0 - 1) * step + 1 : step]
-            if c == 0:
-                np.matmul(windows, table[:cols], out=out[q0:q1])
-            else:
-                out[q0:q1] += windows @ table[c : c + cols]
+            view = np.lib.stride_tricks.sliding_window_view(x, min(step, span - c))
+            chunks.append((view[start + lo * step + c :: step][: hi - lo], table[c : c + step]))
+        for rows in _product_blocks(hi - lo, min(step, span) * width):
+            dest = out[lo + rows.start : lo + rows.stop]
+            np.matmul(chunks[0][0][rows], chunks[0][1], out=dest)
+            for windows, taps in chunks[1:]:
+                dest += windows[rows] @ taps
     for a, b in ((0, lo), (hi, count)):
         if a < b:
             s, e = start + a * step, start + (b - 1) * step + span
@@ -265,7 +289,9 @@ def _window_products(x: np.ndarray, table: np.ndarray, start: int, step: int, ou
             i, j = max(s, 0), min(e, len(x))
             if i < j:
                 seg[i - s : j - s] = x[i:j]
-            out[a:b] = np.lib.stride_tricks.sliding_window_view(seg, span)[::step] @ table
+            windows = np.lib.stride_tricks.sliding_window_view(seg, span)[::step]
+            for rows in _product_blocks(b - a, span * width):
+                out[a + rows.start : a + rows.stop] = windows[rows] @ table
 
 
 def truncate(buf: AudioBuffer, max_duration: float) -> AudioBuffer:
@@ -355,7 +381,8 @@ def _filter_from_rest(x: np.ndarray, modes, out: np.ndarray) -> None:
     + x @ F, where T is the upper-triangular Toeplitz matrix of the impulse
     response, G[k] = p^k and F[i] = r p^(FILTER_BLOCK - 1 - i). The block-start
     states come from a log-step doubling scan over poles x blocks; the outputs
-    are then computed 512 blocks at a time, as two real matrix products.
+    are then computed as two real matrix products. Every product takes as
+    many blocks as keep it within PRODUCT_MACS.
     """
     poles, residues, gain = modes
     size = FILTER_BLOCK
@@ -369,7 +396,8 @@ def _filter_from_rest(x: np.ndarray, modes, out: np.ndarray) -> None:
     taps = np.ascontiguousarray(residues * powers[::-1]).view(float)
     blocks = x.reshape(-1, size)
     starts = np.zeros((len(poles), len(blocks)), dtype=complex)  # column j: block j's start states
-    starts[:, 1:] = (blocks[:-1] @ taps).view(complex).T
+    for rows in _product_blocks(len(blocks) - 1, taps.size):
+        starts[:, rows.start + 1 : rows.stop + 1] = (blocks[rows] @ taps).view(complex).T
     step, span = poles**size, 1
     while span < starts.shape[1]:
         starts[:, span:] += step[:, None] * starts[:, :-span]
@@ -377,7 +405,7 @@ def _filter_from_rest(x: np.ndarray, modes, out: np.ndarray) -> None:
         span *= 2
     states = np.ascontiguousarray(starts.T).view(float)
     out = out.reshape(blocks.shape)
-    for rows in _blocks(len(blocks), 512):
+    for rows in _product_blocks(len(blocks), toeplitz.size):  # gains is no larger
         np.matmul(blocks[rows], toeplitz, out=out[rows])
         out[rows] += states[rows] @ gains
 
@@ -401,6 +429,12 @@ def _frames(x: np.ndarray, frame_length: int, hop: int = 1, starts=None) -> np.n
 def _blocks(n: int, rows: int = BLOCK_FRAMES):
     """Slices of `rows` rows covering range(n), in order."""
     return (slice(i, min(i + rows, n)) for i in range(0, n, rows))
+
+
+def _product_blocks(n: int, row_macs: int):
+    """_blocks of range(n) for a product of row_macs multiply-adds a row: as
+    many rows each as keep it within PRODUCT_MACS, and one at least."""
+    return _blocks(n, max(1, PRODUCT_MACS // row_macs))
 
 
 def _too_short_to_denoise(buf: AudioBuffer, cfg) -> str | None:
@@ -471,6 +505,9 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
     floor = cfg.subtraction_floor * noise
 
     out = np.zeros(len(padded))
+    # out as rows of one hop: frame p covers rows p to p + quarters - 1
+    quarters = m // hop
+    out_rows = out.reshape(-1, hop)
     for b in _blocks(n_frames):
         spec = spectra(b)
         mags = np.abs(spec)
@@ -483,8 +520,9 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
         spec *= gain
         spec[bare] = cleaned[bare] * phase
         rebuilt = np.roll(np.fft.irfft(spec, n=m, axis=1), mid, axis=1) * dual
-        for row, frame in zip(range(b.start, b.stop), rebuilt):
-            out[row * hop : row * hop + m] += frame
+        # the last quarter first, so that every sample adds its frames in frame order
+        for q in reversed(range(quarters)):
+            out_rows[b.start + q : b.stop + q] += rebuilt[:, q * hop : (q + 1) * hop]
     return replace(buf, samples=out[head : head + len(x)])
 
 
@@ -527,9 +565,11 @@ def normalize(buf: AudioBuffer) -> AudioBuffer:
 
 def preprocess(buf: AudioBuffer, cfg: PreprocessConfig | None = None) -> AudioBuffer:
     """Run the full preprocessing chain in order, on every call: a second
-    call on its own output applies pre-emphasis twice."""
+    call on its own output applies pre-emphasis twice. The input is let go
+    once it is resampled, so a stem that no caller holds is freed then."""
     cfg = cfg or PreprocessConfig()
     out = resample(buf, cfg.target_rate)
+    del buf
     out = truncate(out, cfg.max_duration)
     out = preemphasis(out, cfg.preemphasis_alpha)
     if cfg.denoise and not _too_short_to_denoise(out, cfg):

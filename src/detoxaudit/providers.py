@@ -163,13 +163,13 @@ class _HttpProvider(_Provider):
     def _request(self, text: str):
         """_parse of the disk-cached payload for text, or POST with retries.
 
-        A payload is written to disk only after _parse accepts it, and _parse
-        runs again on every disk read.
+        A response body is written to disk, as received, only after _parse
+        accepts its payload, and _parse runs again on every disk read.
         """
         path = self._cache_path(_cache_key(self.name, text))
         if path is not None and path.exists():
             try:
-                return self._parse(json.loads(path.read_text("utf-8")))
+                return self._parse(json.loads(path.read_bytes()))
             except (ProviderError, ValueError):
                 pass  # a file that does not decode or breaks the contract: fetch it again
         endpoint = self.cfg.endpoint
@@ -208,7 +208,8 @@ class _HttpProvider(_Provider):
                 continue
             try:
                 with resp:
-                    payload = json.loads(resp.read())
+                    body = resp.read()
+                payload = json.loads(body)
             except OSError as exc:  # timeout or dropped connection in the body
                 last_error = exc
                 continue
@@ -216,21 +217,22 @@ class _HttpProvider(_Provider):
                 raise ProviderError(f"{self.name}: bad response: {exc}") from exc
             value = self._parse(payload)
             if path is not None:
-                _write_atomic(path, [json.dumps(payload, sort_keys=True)])
+                _write_atomic(path, [body], binary=True)
             return value
         raise ProviderError(
             f"{self.name}: giving up after {self.cfg.max_retries + 1} attempts: {last_error}"
         )
 
 
-def _write_atomic(path: Path, chunks):
-    """Publish the strings of chunks, written in order, at path through a temp
-    file of this writer's own, so that concurrent writers of one key never tear
-    or steal each other's file. If chunks raises, nothing is published."""
+def _write_atomic(path: Path, chunks, binary: bool = False):
+    """Publish the strings of chunks (bytes, if binary), written in order, at
+    path through a temp file of this writer's own, so that concurrent writers
+    of one key never tear or steal each other's file. If chunks raises,
+    nothing is published."""
     tmp = path.with_name(f"{path.stem}{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as to open()
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

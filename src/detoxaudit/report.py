@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -76,6 +77,12 @@ def _decimate(arr: np.ndarray, limit: int) -> np.ndarray:
     return arr[:: _stride(len(arr), limit)]
 
 
+def _load(stem) -> AudioBuffer:
+    """load_track(stem), its input errors raised as stage 2's."""
+    with _stage("stage 2 (audio load)"):
+        return load_track(stem)
+
+
 def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     """Load, preprocess and measure one vocal stem; returns (buffer, result).
 
@@ -84,10 +91,8 @@ def analyze_audio(stem, cfg: PreprocessConfig, sections=None) -> tuple:
     """
     with _stage("stage 1 (audio collection)"):
         section_map = load_section_map(sections) if sections else None
-    with _stage("stage 2 (audio load)"):
-        raw = load_track(stem)
     with _stage("stage 3 (preprocessing)"):
-        buf = preprocess(raw, cfg)
+        buf = preprocess(_load(stem), cfg)  # which holds the raw stem only until it is resampled
     if not len(buf.samples):
         raise StageError("stage 3 (preprocessing)", f"no samples left in {stem}")
     with _stage("stage 5 (voice metrics)"):
@@ -166,7 +171,7 @@ def _plot_data(buf: AudioBuffer) -> dict:
 
 
 def _audio_side(bundle: TrackBundle, cfg: PreprocessConfig) -> dict:
-    # the preprocessed buffer is dropped on return, before the next track loads
+    # the preprocessed buffer is dropped on return
     buf, result = analyze_audio(bundle.vocal_stem, cfg, bundle.sections)
     return {**result, **_plot_data(buf)}
 
@@ -237,8 +242,11 @@ def run_pipeline(
 ) -> dict:
     """Run both frameworks over a song pair and assemble the comparison report.
 
-    The two audio analyses run first, then the two lyric analyses, one
-    after the other. When out_path is given the report JSON is written
+    The two audio analyses run first, at the same time, on a pool of two
+    threads that lives for the call; their results are taken in side order,
+    so when both fail the original side's error is raised, as in serial code.
+    The lyric analyses, the similarity and the assembly then run on the
+    calling thread. When out_path is given the report JSON is written
     atomically.
     """
     cfg = preprocess_cfg or PreprocessConfig()
@@ -248,7 +256,9 @@ def run_pipeline(
     transformed.validate()
 
     bundles = {"original": original, "transformed": transformed}
-    audio = {side: _audio_side(b, cfg) for side, b in bundles.items()}
+    with ThreadPoolExecutor(len(bundles), thread_name_prefix="audio-side") as pool:
+        futures = {side: pool.submit(_audio_side, b, cfg) for side, b in bundles.items()}
+        audio = {side: f.result() for side, f in futures.items()}
     docs, lyric = {}, {}
     for side, b in bundles.items():
         docs[side], lyric[side] = analyze_lyrics(b.lyrics, classifier)

@@ -218,7 +218,10 @@ def extract_periods(buf: AudioBuffer, track: PitchTrack) -> PeriodSequence:
             if lo == hi:
                 break
             target = pos + period
-            pos = min(crossings[lo:hi], key=lambda c: abs(c - target))  # the first of a tie
+            pos, gap = crossings[lo], abs(crossings[lo] - target)
+            for c in crossings[lo + 1 : hi]:
+                if abs(c - target) < gap:  # the first of a tie stays
+                    pos, gap = c, abs(c - target)
             boundaries.append(pos)
         cycles += zip(boundaries[:-1], boundaries[1:])
 

@@ -13,15 +13,15 @@ SR = 22050
 
 
 def pool_threads():
-    """Names of live pool threads: every HTTP client's prefetch, the package's
-    only threads. Counted by name: the loopback servers' handler threads may
-    still be closing their sockets when a call returns."""
-    return [t.name for t in threading.enumerate() if "-fetch" in t.name]
+    """Names of live pool threads: every HTTP client's prefetch and run_pipeline's
+    audio sides, the package's only threads. Counted by name: the loopback
+    servers' handler threads may still be closing their sockets when a call returns."""
+    return [t.name for t in threading.enumerate() if "-fetch" in t.name or t.name.startswith("audio-side")]
 
 
 @pytest.fixture(autouse=True)
 def no_pool_thread_left():
-    """Fail a test that leaves a prefetch pool thread running."""
+    """Fail a test that leaves a pool thread running."""
     yield
     assert pool_threads() == []
 

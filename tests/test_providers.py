@@ -288,6 +288,16 @@ class TestSentimentClient:
         name = hashlib.sha256(b"sentiment|default|hello").hexdigest() + ".json"
         assert [p.name for p in cache.iterdir()] == [name]
 
+    def test_cache_file_holds_the_response_body_as_received(self, mock_provider, tmp_path):
+        response = {"score": 0.9, "label": "POSITIVE"}  # keys out of order, as a server may send them
+        server = mock_provider(response)
+        cfg = fast_cfg(server.url, cache_dir=str(tmp_path / "cache"))
+        assert SentimentClient(cfg).classify("hello") == ("POSITIVE", 0.9)
+        (cached,) = (tmp_path / "cache").iterdir()
+        assert cached.read_bytes() == json.dumps(response).encode()
+        assert SentimentClient(cfg).classify("hello") == ("POSITIVE", 0.9)
+        assert server.requests_seen == 1
+
     def test_cache_file_gets_the_mode_of_a_plain_write(self, mock_provider, tmp_path, umask_022):
         server = mock_provider({"label": "POSITIVE", "score": 0.9})
         cache = tmp_path / "cache"

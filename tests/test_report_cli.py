@@ -1,10 +1,14 @@
 import json
 import socket
+import sys
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 from detoxaudit import (
+    PreprocessConfig,
     StubEmbedder,
     StubSentimentClassifier,
     TrackBundle,
@@ -14,6 +18,7 @@ from detoxaudit import (
     run_pipeline,
     write_report,
 )
+from detoxaudit import audio_io
 from detoxaudit import report as report_module
 from detoxaudit.cli import main
 from detoxaudit.report import PLOT_KINDS, StageError
@@ -72,6 +77,37 @@ class TestRunPipeline:
                 classifier=StubSentimentClassifier(), embedder=StubEmbedder(),
             )
 
+    def test_unreadable_transformed_stem_is_its_stage_2_error(self, fixture_pair):
+        bad = fixture_pair["tmp_path"] / "bad_transformed.wav"
+        bad.write_bytes(b"not a wav file")
+        orig, trans = bundles(fixture_pair)
+        with pytest.raises(StageError, match=r"stage 2 \(audio load\).*bad_transformed\.wav"):
+            run_pipeline(
+                orig, TrackBundle(str(bad), trans.lyrics, "fixture"),
+                classifier=StubSentimentClassifier(), embedder=StubEmbedder(),
+            )
+
+    def test_both_stems_unreadable_raises_the_originals_error(self, fixture_pair, monkeypatch):
+        tmp = fixture_pair["tmp_path"]
+        bad = {side: tmp / f"bad_{side}.wav" for side in ("original", "transformed")}
+        for path in bad.values():
+            path.write_bytes(b"not a wav file")
+        real_load = report_module.load_track
+
+        def load_original_last(path):
+            if path == str(bad["original"]):
+                time.sleep(0.2)  # so that the transformed side fails first
+            return real_load(path)
+
+        monkeypatch.setattr(report_module, "load_track", load_original_last)
+        orig, trans = bundles(fixture_pair)
+        with pytest.raises(StageError, match=r"stage 2 \(audio load\).*bad_original\.wav"):
+            run_pipeline(
+                TrackBundle(str(bad["original"]), orig.lyrics, "fixture"),
+                TrackBundle(str(bad["transformed"]), trans.lyrics, "fixture"),
+                classifier=StubSentimentClassifier(), embedder=StubEmbedder(),
+            )
+
     def test_determinism_across_runs(self, fixture_pair, tmp_path):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         run_offline(fixture_pair, out_path=p1)
@@ -127,6 +163,26 @@ class TestRunPipeline:
             classifier=StubSentimentClassifier(), embedder=StubEmbedder(),
         )
         assert np.allclose(report["similarity"]["per_line"], 1.0, atol=1e-9)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a caller holds the arguments of a call")
+def test_analyze_audio_frees_the_raw_stem_once_resampled(voiced_wav, monkeypatch):
+    raw, freed = [], []
+    real_load, real_truncate = report_module.load_track, audio_io.truncate
+
+    def load(path):
+        buf = real_load(path)
+        raw.append(weakref.ref(buf.samples))
+        return buf
+
+    def truncate(buf, max_duration):  # preprocess's next step after resample
+        freed.append(raw[0]() is None)
+        return real_truncate(buf, max_duration)
+
+    monkeypatch.setattr(report_module, "load_track", load)
+    monkeypatch.setattr(audio_io, "truncate", truncate)
+    report_module.analyze_audio(voiced_wav, PreprocessConfig(target_rate=16000))
+    assert freed == [True]
 
 
 class TestBuildComparison:
